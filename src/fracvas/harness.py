@@ -246,12 +246,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
 def law_cdf(law) -> "callable":
     """Vectorized CDF callable for any limit law with a distribution function."""
     if isinstance(law, RatioLaw):
-
-        def cdf(x):
-            flat = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.array([ratio_cdf(float(z), law) for z in flat])
-
-        return cdf
+        return lambda x: ratio_cdf(x, law)
     if isinstance(law, (NormalLaw, ZetaLaw, ScaledChiSquareLaw)):
         return law.cdf
     raise TypeError(f"no distribution function for {type(law).__name__}")

@@ -6,6 +6,8 @@ ratios of three independent building blocks: a standard normal eta, a
 normal zeta whose mean carries the start-level offset, and an independent
 normal xi from the martingale itself.  Ratio laws are heavy-tailed, so
 everything here is compared through CDFs and quantiles, never moments.
+Every CDF is vectorized and closed form: the ratio law through Owen's T
+(scipy.special.owens_t), the others through the normal CDF.
 """
 
 from __future__ import annotations
@@ -14,16 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import owens_t
 from scipy.stats import norm
 
 from .model import ModelParams
+from .specfun import log_gamma
 from .transforms import constants
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 def _require_nonergodic(value: float, name: str) -> None:
@@ -77,7 +75,7 @@ class RatioLaw:
 
     zeta: ZetaLaw
 
-    def cdf(self, z: float) -> float:
+    def cdf(self, z) -> np.ndarray | float:
         return ratio_cdf(z, self)
 
 
@@ -133,7 +131,7 @@ def law_S_limit(params: ModelParams) -> NormalLaw:
     offset = params.x0 - params.mean_level
     hurst = params.hurst
     mean = offset * kc.rho * (-params.beta) ** (hurst - 0.5) / math.sqrt(math.pi)
-    variance = math.gamma(hurst) * math.gamma(1.0 - hurst) / (
+    variance = math.exp(log_gamma(hurst) + log_gamma(1.0 - hurst)) / (
         2.0 * math.pi * (-params.beta) * kc.lam_star
     )
     return NormalLaw(mean=mean, variance=variance)
@@ -154,7 +152,7 @@ def law_J_limit(params: ModelParams) -> NormalLaw:
     offset = params.x0 - params.mean_level
     hurst = params.hurst
     mean = 8.0 * offset * kc.rho * (-params.beta) ** (hurst - 1.5) / math.sqrt(math.pi)
-    variance = 4.0 * math.gamma(hurst) * math.gamma(1.0 - hurst) / (
+    variance = 4.0 * math.exp(log_gamma(hurst) + log_gamma(1.0 - hurst)) / (
         kc.lam_star * (-params.beta) ** 3 * math.pi
     )
     return NormalLaw(mean=mean, variance=variance)
@@ -221,47 +219,23 @@ def law_mu_kappa_limit(params: ModelParams) -> tuple[NormalLaw, RatioLaw]:
     return mu_law, RatioLaw(zeta=zeta_law(params))
 
 
-def ratio_cdf(z: float, law: RatioLaw, abs_tol: float = 1e-8) -> float:
-    """P(eta / zeta <= z) by quadrature over the denominator.
+def ratio_cdf(z, law: RatioLaw) -> np.ndarray | float:
+    """P(eta / zeta <= z) in closed form (Hinkley 1969), vectorized over z.
 
-    Conditioning on zeta: the event is {eta <= z zeta} on {zeta > 0} and
-    {eta >= z zeta} on {zeta < 0}.  The integrand is bounded by the zeta
-    density, so truncating at 10 standard deviations leaves less than
-    1e-22 mass outside; each side is integrated adaptively and the two
-    quadrature errors must sum below the requested tolerance.
+    With zeta ~ N(m, s^2) the CDF is Phi(a) + Phi(-b) - 2 Phi_2(a, -b; r)
+    for a = z m / sqrt(1 + z^2 s^2), b = m / s and r = -z s / sqrt(1 + z^2 s^2).
+    Writing Phi_2 through Owen's T, one T term vanishes identically and the
+    rest reduces to T(|a|, q) with q = 1 / (|z| s): the CDF is 1 - 2 T for
+    z >= 0 and 2 T for z < 0.  At z = 0, T(0, inf) = 1/4 gives the median
+    1/2; for m = 0, T(0, q) = atan(q) / (2 pi) gives the Cauchy law
+    1/2 + atan(z s) / pi.
     """
+    z = np.asarray(z, dtype=float)
     m, s = law.zeta.mean, law.zeta.std
-    lo, hi = m - 10.0 * s, m + 10.0 * s
-    pdf_norm = 1.0 / (s * math.sqrt(2.0 * math.pi))
-
-    def density(t: float) -> float:
-        return pdf_norm * math.exp(-0.5 * ((t - m) / s) ** 2)
-
-    def positive_side(t: float) -> float:
-        return ndtr(z * t) * density(t)
-
-    def negative_side(t: float) -> float:
-        return ndtr(-z * t) * density(t)
-
-    total = 0.0
-    err_budget = 0.0
-    if hi > 0.0:
-        val, err = integrate.quad(
-            positive_side, max(lo, 0.0), hi, epsabs=abs_tol / 20.0, epsrel=1e-11, limit=200
-        )
-        total += val
-        err_budget += err
-    if lo < 0.0:
-        val, err = integrate.quad(
-            negative_side, lo, min(hi, 0.0), epsabs=abs_tol / 20.0, epsrel=1e-11, limit=200
-        )
-        total += val
-        err_budget += err
-    if err_budget > abs_tol:
-        raise QuadratureConvergenceError(
-            f"ratio cdf error estimate {err_budget:.2e} above {abs_tol:.2e} at z={z!r}"
-        )
-    return min(1.0, max(0.0, total))
+    with np.errstate(divide="ignore"):
+        q = 1.0 / (np.abs(z) * s)
+    t = owens_t(abs(m) / s / np.hypot(1.0, q), q)
+    return np.where(z >= 0.0, 1.0 - 2.0 * t, 2.0 * t)[()]
 
 
 def sample_limit(law, seed: int, count: int) -> np.ndarray:

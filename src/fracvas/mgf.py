@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .specfun import log_bessel_i
+from .specfun import log_bessel_i, log_gamma
 from .transforms import constants
 
 _LOG_EIGHT = math.log(8.0)
@@ -144,8 +144,8 @@ def _coefficients(params: ModelParams) -> tuple[float, float, float, float, floa
     offset = params.x0 - params.mean_level
     rho = kc.rho
     lam_star = kc.lam_star
-    gam_h = math.gamma(hurst)
-    gam_1h = math.gamma(1.0 - hurst)
+    gam_h = math.exp(log_gamma(hurst))
+    gam_1h = math.exp(log_gamma(1.0 - hurst))
     c1 = offset * 4.0 * rho
     c2 = offset**2 * lam_star * 2.0 ** (2.0 * hurst + 1.0) * rho**2 / gam_1h
     c3 = 2.0 * gam_h * gam_1h / lam_star

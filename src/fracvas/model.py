@@ -93,6 +93,11 @@ def simulate_exact(
 
     convolution = noise - beta * decay * g
     values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"exact solution is not finite at beta*T = {beta * grid.horizon:.6g}: "
+            "exp(|beta| t) leaves the double range once |beta*T| exceeds about 709"
+        )
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "constants",
     "kernel_k",
     "compute_S",
-    "compute_PH",
     "compute_J",
     "compute_I_K",
     "sufficient_stats",
@@ -403,11 +402,6 @@ def compute_S(path: VasicekPath, stride: int = _DEFAULT_STRIDE) -> ProcessPanel:
     """Panel of S_t on the inner grid (S_0 = 0)."""
     values, grid, hurst, gamma = _path_fields(path)
     return shared_engine(grid, hurst, stride).panel(values, gamma)
-
-
-def compute_PH(path: VasicekPath, stride: int = _DEFAULT_STRIDE) -> ProcessPanel:
-    """Panel with the derivative process P on times[1:]."""
-    return compute_S(path, stride)
 
 
 def compute_J(path: VasicekPath, stride: int = _DEFAULT_STRIDE) -> float:

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from fracvas.limits import (
@@ -43,22 +44,43 @@ def _ks_statistic(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
     return max(np.max(i / n - cdf_values), np.max(cdf_values - (i - 1) / n))
 
 
-def _ratio_cdf_interpolator(law: RatioLaw, z_cap: float = 2.0e4, points: int = 801):
-    """Monotone interpolant of the ratio CDF in arctan coordinates.
+def _ratio_cdf_oracle(z: float, law: RatioLaw, abs_tol: float = 1e-8) -> float:
+    """P(eta / zeta <= z) by adaptive quadrature over the denominator.
 
-    Direct quadrature at every sample point would be too slow for the
-    100k-sample agreement checks; the CDF is smooth and monotone in
-    arctan(z), so a few hundred exact evaluations pin it to ~1e-4.
+    Conditioning on zeta: the event is {eta <= z zeta} on {zeta > 0} and
+    {eta >= z zeta} on {zeta < 0}.  The integrand is bounded by the zeta
+    density, so truncating at 10 standard deviations leaves less than
+    1e-22 mass outside.  Phi(z t) steps from 1/2 towards 1 over |t| ~ 1/|z|,
+    so each side gets breakpoints at that scale; without them quad misses
+    the step for |z| in the hundreds and above.
     """
-    span = math.atan(z_cap)
-    u = np.linspace(-span, span, points)
-    vals = np.array([ratio_cdf(float(z), law) for z in np.tan(u)])
-    interp = PchipInterpolator(u, vals)
+    m, s = law.zeta.mean, law.zeta.std
+    lo, hi = m - 10.0 * s, m + 10.0 * s
+    pdf_norm = 1.0 / (s * math.sqrt(2.0 * math.pi))
+    steps = [c / abs(z) for c in (1.0, 10.0)] if z != 0.0 else []
 
-    def cdf(z: np.ndarray) -> np.ndarray:
-        return np.clip(interp(np.arctan(z)), 0.0, 1.0)
+    def density(t: float) -> float:
+        return pdf_norm * math.exp(-0.5 * ((t - m) / s) ** 2)
 
-    return cdf
+    def side(sign: float, a: float, b: float) -> tuple[float, float]:
+        points = [sign * p for p in steps if a < sign * p < b] or None
+        return integrate.quad(
+            lambda t: ndtr(sign * z * t) * density(t),
+            a, b, epsabs=abs_tol / 20.0, epsrel=1e-11, limit=200, points=points,
+        )
+
+    total = 0.0
+    err_budget = 0.0
+    if hi > 0.0:
+        val, err = side(1.0, max(lo, 0.0), hi)
+        total += val
+        err_budget += err
+    if lo < 0.0:
+        val, err = side(-1.0, lo, min(hi, 0.0))
+        total += val
+        err_budget += err
+    assert err_budget <= abs_tol, f"oracle error estimate {err_budget:.2e} at z={z!r}"
+    return min(1.0, max(0.0, total))
 
 
 def test_rejects_bad_parameters():
@@ -153,8 +175,8 @@ def test_stated_J_constants_are_eightfold_identity():
 def test_ratio_cdf_basic_shape():
     law = law_beta_limit(DESK)
     # eta is symmetric, so zero is the median no matter where zeta centers
-    assert ratio_cdf(0.0, law) == pytest.approx(0.5, abs=1e-9)
-    assert ratio_cdf(0.0, special_case_ratio(0.7)) == pytest.approx(0.5, abs=1e-9)
+    assert ratio_cdf(0.0, law) == 0.5
+    assert ratio_cdf(0.0, special_case_ratio(0.7)) == 0.5
     grid = [-30.0, -5.0, -1.0, -0.2, 0.0, 0.2, 1.0, 5.0, 30.0]
     vals = [ratio_cdf(z, law) for z in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -162,14 +184,44 @@ def test_ratio_cdf_basic_shape():
     assert ratio_cdf(-1e6, law) < 1e-6
 
 
+_FAR_Z = [sign * z for z in (300.0, 1e3, 1e4, 1e6, 1e8) for sign in (-1.0, 1.0)]
+_Z_GRID = np.concatenate([np.tan(np.linspace(-1.55, 1.55, 201)), [0.0, -50.0, 50.0], _FAR_Z])
+
+
+@pytest.mark.parametrize("mean", [-5.0, -0.3, 0.0, 0.05, zeta_law(DESK).mean, 2.0])
+def test_ratio_cdf_matches_quadrature_oracle(mean):
+    law = RatioLaw(zeta=ZetaLaw(mean=mean, variance=zeta_law(DESK).variance))
+    closed = ratio_cdf(_Z_GRID, law)
+    oracle = np.array([_ratio_cdf_oracle(float(z), law) for z in _Z_GRID])
+    near = np.abs(_Z_GRID) <= 50.0
+    assert np.max(np.abs(closed - oracle)[near]) <= 1e-10
+    # beyond |z| = 50 the oracle's own tolerance is the limit
+    assert np.max(np.abs(closed - oracle)[~near]) <= 1e-8
+    assert ratio_cdf(0.0, law) == 0.5
+
+
+def test_ratio_cdf_vector_matches_scalar():
+    law = law_beta_limit(DESK)
+    scalar = [ratio_cdf(float(z), law) for z in _Z_GRID]
+    assert all(isinstance(v, float) for v in scalar)
+    assert np.array_equal(ratio_cdf(_Z_GRID, law), np.array(scalar))
+    assert np.array_equal(law.cdf(_Z_GRID), np.array(scalar))
+
+
+def test_special_case_ratio_is_cauchy():
+    law = special_case_ratio(0.7)
+    s = law.zeta.std
+    cauchy = 0.5 + np.arctan(_Z_GRID * s) / math.pi
+    assert np.max(np.abs(ratio_cdf(_Z_GRID, law) - cauchy)) <= 1e-15
+
+
 def test_ratio_cdf_matches_million_sample_empirical():
     law = law_beta_limit(DESK)
-    cdf = _ratio_cdf_interpolator(law)
-    spots = np.array([-40.0, -3.0, -0.7, 0.4, 2.5, 55.0])
-    spot_err = max(abs(float(cdf(np.array([z]))[0]) - ratio_cdf(float(z), law)) for z in spots)
+    spots = [-40.0, -3.0, -0.7, 0.4, 2.5, 55.0]
+    spot_err = max(abs(ratio_cdf(z, law) - _ratio_cdf_oracle(z, law)) for z in spots)
     assert spot_err < 2e-4
     samples = np.sort(sample_limit(law, seed=77, count=1_000_000))
-    ks = _ks_statistic(samples, cdf(samples))
+    ks = _ks_statistic(samples, ratio_cdf(samples, law))
     assert ks + spot_err < 4e-3
 
 
@@ -186,7 +238,7 @@ def test_samplers_match_cdfs_dkw():
         assert _ks_statistic(samples, np.asarray(law.cdf(samples))) < eps
     ratio = law_beta_limit(DESK)
     samples = np.sort(sample_limit(ratio, seed=2024, count=n))
-    ks = _ks_statistic(samples, _ratio_cdf_interpolator(ratio)(samples))
+    ks = _ks_statistic(samples, ratio_cdf(samples, ratio))
     assert ks + 2e-4 < eps
 
 

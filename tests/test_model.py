@@ -58,6 +58,16 @@ def test_driver_grid_mismatch_rejected():
         simulate_exact(DESK, grid, driver=drv)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exact_refuses_overflowing_horizon():
+    # exp(beta t) overflows once beta*T passes ~709, on either branch
+    grid = SampleGrid(horizon=400.0, n=1024)
+    for beta in (2.0, -2.0):
+        params = ModelParams(alpha=1.0, beta=beta, gamma=1.0, hurst=0.7, x0=0.3)
+        with pytest.raises(ValueError, match=r"beta\*T = -?800"):
+            simulate_exact(params, grid, seed=3)
+
+
 def test_euler_matches_exact_on_zero_driver():
     grid = SampleGrid(horizon=1.0, n=4096)
     drv = _zero_driver(grid, DESK.hurst)

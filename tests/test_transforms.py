@@ -15,7 +15,6 @@ from fracvas.transforms import (
     QuadratureConvergenceError,
     compute_I_K,
     compute_J,
-    compute_PH,
     compute_S,
     constants,
     kernel_k,
@@ -225,7 +224,7 @@ def test_panel_alignment_error():
     grid_b = SampleGrid(horizon=5.0, n=2**11)
     path_a = simulate_exact(DESK, grid_a, seed=31)
     path_b = simulate_exact(DESK, grid_b, seed=31)
-    ph_panel = compute_PH(path_b, stride=16)
+    ph_panel = compute_S(path_b, stride=16)
     s_panel = compute_S(path_a, stride=16)
     with pytest.raises(PanelAlignmentError):
         compute_I_K(path_a, ph_panel, s_panel)
