@@ -1,7 +1,9 @@
 """Drift MLEs, the log-likelihood, and noise-parameter recovery.
 
 All drift estimators are algebraic functions of the sufficient statistics
-(S, I, J, K, w) produced by the transform engine:
+(S, I, J, K, w) produced by the transform engine, so the same closed forms
+serve one path (float fields) or a block of paths (array fields, one entry
+per path; a degenerate or non-finite entry anywhere raises for the block):
 
     joint:      alpha_hat = gamma (S K - I J) / (w K - J^2)
                 beta_hat  = (S J - w I) / (w K - J^2)
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import SufficientStats, constants, shared_engine
+from .transforms import SufficientStats, shared_engine
 
 _QV_MAX_BLOCKS = 2048
 _MIN_RECOVERY_N = 4096
@@ -60,10 +62,21 @@ class DriftEstimate:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _joint_denominator(stats: SufficientStats) -> float:
-    denom = stats.w * stats.K - stats.J**2
-    if not denom > 0.0:
-        raise DegenerateStatsError(f"w K - J^2 = {denom}; path carries no slope information")
+def _finite(name: str, value):
+    """`value`, after checking that every entry of it is finite."""
+    if not np.all(np.isfinite(value)):
+        raise DegenerateStatsError(f"{name} is not finite; the statistics overflow it")
+    return value
+
+
+def _joint_denominator(stats: SufficientStats) -> float | np.ndarray:
+    # J * J, not J**2: a Python float power goes through libm pow, which can
+    # differ from the array square in the last bit
+    denom = stats.w * stats.K - stats.J * stats.J
+    if not np.all(denom > 0.0):
+        raise DegenerateStatsError(
+            f"w K - J^2 reaches {np.min(denom)}; path carries no slope information"
+        )
     return denom
 
 
@@ -72,8 +85,8 @@ def mle_joint(stats: SufficientStats, gamma: float) -> DriftEstimate:
     alpha_hat = gamma * (stats.S * stats.K - stats.I * stats.J) / denom
     beta_hat = (stats.S * stats.J - stats.w * stats.I) / denom
     return DriftEstimate(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
+        alpha_hat=_finite("alpha_hat", alpha_hat),
+        beta_hat=_finite("beta_hat", beta_hat),
         variant="joint",
         horizon=stats.horizon,
         hurst=stats.hurst,
@@ -81,16 +94,16 @@ def mle_joint(stats: SufficientStats, gamma: float) -> DriftEstimate:
     )
 
 
-def mle_alpha(stats: SufficientStats, gamma: float, beta_known: float) -> float:
+def mle_alpha(stats: SufficientStats, gamma: float, beta_known: float) -> float | np.ndarray:
     """MLE of the level parameter when the reversion parameter is known."""
-    return gamma / stats.w * (stats.S + beta_known * stats.J)
+    return _finite("alpha_tilde", gamma / stats.w * (stats.S + beta_known * stats.J))
 
 
-def mle_beta(stats: SufficientStats, gamma: float, alpha_known: float) -> float:
+def mle_beta(stats: SufficientStats, gamma: float, alpha_known: float) -> float | np.ndarray:
     """MLE of the reversion parameter when the level parameter is known."""
-    if not stats.K > 0.0:
+    if not np.all(stats.K > 0.0):
         raise DegenerateStatsError("K = 0; path carries no slope information")
-    return (alpha_known / gamma * stats.J - stats.I) / stats.K
+    return _finite("beta_tilde", (alpha_known / gamma * stats.J - stats.I) / stats.K)
 
 
 def mle_mu_kappa(stats: SufficientStats, gamma: float) -> DriftEstimate:
@@ -99,15 +112,14 @@ def mle_mu_kappa(stats: SufficientStats, gamma: float) -> DriftEstimate:
     Identical to mle_joint up to the reparameterization mu = alpha/beta,
     kappa = beta; kept as its own closed form so the identity is testable.
     """
-    _joint_denominator(stats)
+    denom = _joint_denominator(stats)
     mu_denom = stats.S * stats.J - stats.w * stats.I
-    if mu_denom == 0.0:
+    if np.any(mu_denom == 0.0):
         raise DegenerateStatsError("S J - w I = 0; mean level is unidentified")
     mu_hat = gamma * (stats.S * stats.K - stats.I * stats.J) / mu_denom
-    kappa_hat = mu_denom / (stats.w * stats.K - stats.J**2)
     return DriftEstimate(
-        alpha_hat=mu_hat,
-        beta_hat=kappa_hat,
+        alpha_hat=_finite("mu_hat", mu_hat),
+        beta_hat=_finite("kappa_hat", mu_denom / denom),
         variant="mu-kappa",
         horizon=stats.horizon,
         hurst=stats.hurst,
@@ -141,7 +153,8 @@ def estimate_gamma(path, hurst: float) -> float:
     squared increments over any refining partition sum to gamma^2 w(T).
     The partition size is capped so the weight panel stays affordable at
     large n; the estimate is unbiased at any partition because Z has
-    independent Gaussian increments.
+    independent Gaussian increments.  With gamma = 1 the S panel of
+    `PanelEngine.statistics` is Z itself, so its "qv" is the sum.
     """
     values, grid = _path_arrays(path)
     if grid.n < _MIN_RECOVERY_N:
@@ -150,12 +163,11 @@ def estimate_gamma(path, hurst: float) -> float:
     if grid.n % blocks:
         raise ValueError(f"n = {grid.n} not divisible by the {blocks}-block partition")
     engine = shared_engine(grid, hurst, stride=grid.n // blocks)
-    z_panel, _ = engine.raw_panels(values[None, :])
-    variation = float(np.sum(np.diff(z_panel[0]) ** 2))
+    out = engine.statistics(values[None, :], 1.0)
+    variation = float(out["qv"][0])
     if not variation > 0.0:
         raise DegenerateStatsError("flat path: zero quadratic variation")
-    w_T = constants(hurst, 1.0).w(grid.horizon)
-    return math.sqrt(variation / w_T)
+    return math.sqrt(variation / out["w"])
 
 
 def estimate_hurst(path) -> float:

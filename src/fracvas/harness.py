@@ -6,6 +6,16 @@ replication and the aggregate output is byte-identical for every worker
 count.  Work is dealt in fixed blocks of 64 replications; a worker owns
 whole blocks and results are reassembled in block order.
 
+A block simulates its paths one by one, then runs one batched quadrature
+pass over them (PanelEngine.statistics) and the drift MLEs once over the
+resulting arrays.  It returns columns, one 1-D array per quantity over
+its surviving replications, plus (replication, stage, message) failure
+records.  A failed simulation voids its replication.  A failed roughness
+estimate only sets that H_hat to NaN, since H is taken as known.  If an
+MLE raises, every replication of the block fails at stage "mle": a
+degenerate row has probability zero and overflow hits a whole horizon.
+Simulate mode writes each block's path files from inside the block.
+
 Pass/fail semantics: distributional checks against asymptotic laws gate
 at the largest requested horizon (smaller horizons are reported for
 trend-watching); checks against laws that are exact at finite horizons
@@ -18,6 +28,7 @@ variant ("J_normal_identity") gates instead.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -29,6 +40,7 @@ from scipy.special import logsumexp
 from scipy.stats import kstest, spearmanr
 
 from .estimators import (
+    _MIN_RECOVERY_N,
     estimate_gamma,
     estimate_hurst,
     mle_alpha,
@@ -36,7 +48,7 @@ from .estimators import (
     mle_joint,
     mle_mu_kappa,
 )
-from .fbm import SampleGrid
+from .fbm import SampleGrid, save_path_csv
 from .limits import (
     NormalLaw,
     RatioLaw,
@@ -66,6 +78,8 @@ EXPERIMENTS = (
     "hurst-gamma-check",
 )
 
+# experiments that estimate H and gamma from every path
+_RECOVERING = ("estimate", "limit-check", "hurst-gamma-check")
 _BATCH = 64
 _KS_MIN_N = 20
 _BOOTSTRAP_RESAMPLES = 200
@@ -127,6 +141,11 @@ class ExperimentConfig:
             raise ValueError(f"p_threshold must lie in (0, 1), got {self.p_threshold!r}")
         if self.experiment == "limit-check" and not self.params.beta < 0.0:
             raise ValueError("limit-check requires beta < 0")
+        if self.experiment in _RECOVERING and n < _MIN_RECOVERY_N:
+            raise ValueError(
+                f"{self.experiment} recovers H and gamma from every path, which needs "
+                f"n_grid >= {_MIN_RECOVERY_N}, got {n}"
+            )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -272,7 +291,7 @@ def _fmt_cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: str, header: list[str], rows: list) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -283,165 +302,162 @@ def _tag(T: float) -> str:
     return format(float(T), "g")
 
 
-def _batch_task(task: tuple) -> list[dict]:
-    """Run one block of replications; returns one dict per replication.
+def _path_csv_name(T: float, rep: int) -> str:
+    return f"path_T{_tag(T)}_rep{rep:05d}.csv"
+
+
+def _failure(rep: int, stage: str, exc: Exception) -> tuple[int, str, str]:
+    return rep, stage, f"{type(exc).__name__}: {exc}"
+
+
+def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]:
+    """Run one block of replications; returns (columns, failures).
 
     Must stay a top-level function: worker pools pickle it by name.
-    Failed replications carry an "error" entry instead of results.
     """
-    mode, params, T, n_grid, master_seed, lo, hi = task
-    grid = SampleGrid(horizon=float(T), n=int(n_grid))
-    rows: list[dict] = []
-
-    if mode in ("paths", "recover"):
-        for rep in range(lo, hi):
-            seed = replication_seed(master_seed, rep)
-            row: dict = {"replication": rep, "seed": seed}
-            try:
-                path = simulate_exact(params, grid, seed=seed)
-                if mode == "paths":
-                    row["values"] = path.values
-                else:
-                    row["H_hat"] = estimate_hurst(path)
-                    row["gamma_hat"] = estimate_gamma(path, params.hurst)
-            except Exception as exc:  # noqa: BLE001 - failures are counted, not fatal
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-        return rows
-
-    engine = shared_engine(grid, params.hurst)
-    ok_rows: list[dict] = []
-    values = []
+    mode, config, params, T, lo, hi = task
+    grid = SampleGrid(horizon=float(T), n=config.n_grid)
+    # fetched before the block's paths exist, so a first (dense) engine
+    # build does not hold them in memory
+    engine = shared_engine(grid, params.hurst) if mode.startswith("stats") else None
+    reps, seeds, h_hats, g_hats, values = [], [], [], [], []
+    failures: list[tuple[int, str, str]] = []
     for rep in range(lo, hi):
-        seed = replication_seed(master_seed, rep)
-        row = {"replication": rep, "seed": seed}
+        seed = replication_seed(config.master_seed, rep)
+        stage = "simulate"
         try:
             path = simulate_exact(params, grid, seed=seed)
-        except Exception as exc:  # noqa: BLE001
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+            if mode == "recover":
+                stage = "hurst"
+                h_hat = estimate_hurst(path)
+                stage = "gamma"
+                g_hats.append(estimate_gamma(path, params.hurst))
+                h_hats.append(h_hat)
+        except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
+            failures.append(_failure(rep, stage, exc))
             continue
+        reps.append(rep)
+        seeds.append(seed)
+        if mode == "paths":
+            out = os.path.join(config.output_dir, _path_csv_name(T, rep))
+            save_path_csv(grid.times(), path.values, out)
+        elif mode.startswith("stats"):
+            values.append(path.values)
         if mode == "stats+est":
             try:
-                row["gamma_hat"] = estimate_gamma(path, params.hurst)
-                row["H_hat"] = estimate_hurst(path)
-            except Exception as exc:  # noqa: BLE001
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                rows.append(row)
-                continue
-        values.append(path.values)
-        ok_rows.append(row)
-        rows.append(row)
+                h_hats.append(estimate_hurst(path))
+            except Exception as exc:  # noqa: BLE001 - H_hat is reported only
+                h_hats.append(math.nan)
+                failures.append(_failure(rep, "hurst", exc))
 
-    if ok_rows:
-        stats = engine.statistics(np.asarray(values), params.gamma)
-        for i, row in enumerate(ok_rows):
-            row.update(
-                S=float(stats["S"][i]),
-                I=float(stats["I"][i]),
-                J=float(stats["J"][i]),
-                K=float(stats["K"][i]),
-                w=float(stats["w"]),
+    columns = {"replication": np.array(reps, dtype=np.int64)}
+    columns["seed"] = np.array(seeds, dtype=np.uint64)
+    if mode in ("recover", "stats+est"):
+        columns["H_hat"] = np.array(h_hats, dtype=float)
+    if mode == "recover":
+        columns["gamma_hat"] = np.array(g_hats, dtype=float)
+    if engine is None:
+        return columns, failures
+
+    stats = engine.statistics(np.reshape(values, (len(reps), grid.n + 1)), params.gamma)
+    columns.update(
+        S=stats["S"], I=stats["I"], J=stats["J"], K=stats["K"], w=np.full(len(reps), stats["w"])
+    )
+    if mode == "stats+est":
+        g = params.gamma
+        columns["gamma_hat"] = g * np.sqrt(stats["qv"] / stats["w"])
+        try:
+            fields = {key: stats[key] for key in ("S", "I", "J", "K", "w")}
+            suff = SufficientStats(**fields, horizon=grid.horizon, hurst=params.hurst, gamma=g)
+            joint = mle_joint(suff, g)
+            pair = mle_mu_kappa(suff, g)
+            columns.update(
+                alpha_hat=joint.alpha_hat,
+                beta_hat=joint.beta_hat,
+                alpha_tilde=mle_alpha(suff, g, beta_known=params.beta),
+                beta_tilde=mle_beta(suff, g, alpha_known=params.alpha),
+                mu_hat=pair.alpha_hat,
+                kappa_hat=pair.beta_hat,
             )
-            if mode == "stats+est":
-                suff = SufficientStats(
-                    S=row["S"],
-                    I=row["I"],
-                    J=row["J"],
-                    K=row["K"],
-                    w=row["w"],
-                    horizon=grid.horizon,
-                    hurst=params.hurst,
-                    gamma=params.gamma,
-                )
-                try:
-                    joint = mle_joint(suff, params.gamma)
-                    pair = mle_mu_kappa(suff, params.gamma)
-                    row["alpha_hat"] = joint.alpha_hat
-                    row["beta_hat"] = joint.beta_hat
-                    row["alpha_tilde"] = mle_alpha(suff, params.gamma, beta_known=params.beta)
-                    row["beta_tilde"] = mle_beta(suff, params.gamma, alpha_known=params.alpha)
-                    row["mu_hat"] = pair.alpha_hat
-                    row["kappa_hat"] = pair.beta_hat
-                except Exception as exc:  # noqa: BLE001
-                    for key in ("S", "I", "J", "K", "w"):
-                        row.pop(key, None)
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-    return rows
+        except Exception as exc:  # noqa: BLE001 - the block's estimates fail together
+            failures.extend(_failure(rep, "mle", exc) for rep in reps)
+            columns = {key: col[:0] for key, col in columns.items()}
+    return columns, failures
 
 
 def _collect(
-    config: ExperimentConfig, mode: str, T: float, params: ModelParams | None = None
-) -> list[dict]:
-    """All replications for one horizon, in replication order."""
+    config: ExperimentConfig,
+    report: TestReport,
+    mode: str,
+    T: float,
+    params: ModelParams | None = None,
+    **tags,
+) -> dict[str, np.ndarray]:
+    """Columns over the surviving replications of one horizon, in replication order.
+
+    Every failure goes to report.details["failed"], tagged with `tags`;
+    report.failures counts the voided replications, and more than 1% of
+    them abort the run.
+    """
     params = params if params is not None else config.params
     n = config.replications
-    tasks = [
-        (mode, params, T, config.n_grid, config.master_seed, lo, min(lo + _BATCH, n))
-        for lo in range(0, n, _BATCH)
-    ]
+    tasks = [(mode, config, params, T, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
     if config.workers == 1 or len(tasks) == 1:
-        chunks = [_batch_task(t) for t in tasks]
+        blocks = [_batch_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_batch_task, tasks))
-    rows = [row for chunk in chunks for row in chunk]
-    failed = sum(1 for row in rows if "error" in row)
-    if failed > 0.01 * n:
-        examples = [row["error"] for row in rows if "error" in row][:3]
+            blocks = list(pool.map(_batch_task, tasks))
+    columns = {key: np.concatenate([cols[key] for cols, _ in blocks]) for key in blocks[0][0]}
+    failures = [failure for _, block_failures in blocks for failure in block_failures]
+    voided = n - columns["replication"].size
+    if voided > 0.01 * n:
+        examples = [message for _, _, message in failures[:3]]
         raise RuntimeError(
-            f"{failed}/{n} replications failed at T={T} (> 1%); first errors: {examples}"
+            f"{voided}/{n} replications failed at T={T} (> 1%); first errors: {examples}"
         )
-    return rows
-
-
-def _ok(rows: list[dict]) -> list[dict]:
-    return [row for row in rows if "error" not in row]
-
-
-def _write_stats_csv(config: ExperimentConfig, T: float, rows: list[dict]) -> str:
-    path = os.path.join(config.output_dir, f"stats_T{_tag(T)}.csv")
-    _write_csv(
-        path,
-        ["replication", "seed", "S_T", "I_T", "J_T", "K_T", "w_T"],
-        [
-            [r["replication"], r["seed"], r["S"], r["I"], r["J"], r["K"], r["w"]]
-            for r in _ok(rows)
-        ],
+    report.failures += voided
+    report.details["failed"].extend(
+        dict(tags, T=T, replication=rep, stage=stage, message=message)
+        for rep, stage, message in failures
     )
-    return path
+    return columns
 
 
-_ESTIMATE_HEADER = [
-    "replication",
-    "T",
-    "alpha_hat",
-    "beta_hat",
-    "alpha_tilde",
-    "beta_tilde",
-    "mu_hat",
-    "kappa_hat",
-    "gamma_hat",
-    "H_hat",
-]
+def _write_stats_csv(config: ExperimentConfig, T: float, cols: dict[str, np.ndarray]) -> None:
+    keys = ("replication", "seed", "S", "I", "J", "K", "w")
+    _write_csv(
+        os.path.join(config.output_dir, f"stats_T{_tag(T)}.csv"),
+        ["replication", "seed", "S_T", "I_T", "J_T", "K_T", "w_T"],
+        zip(*(cols[key].tolist() for key in keys)),
+    )
 
 
-def _estimate_csv_rows(T: float, rows: list[dict]) -> list[list]:
-    return [
-        [
-            r["replication"],
-            T,
-            r["alpha_hat"],
-            r["beta_hat"],
-            r["alpha_tilde"],
-            r["beta_tilde"],
-            r["mu_hat"],
-            r["kappa_hat"],
-            r["gamma_hat"],
-            r["H_hat"],
-        ]
-        for r in _ok(rows)
-    ]
+_ESTIMATES = "alpha_hat beta_hat alpha_tilde beta_tilde mu_hat kappa_hat gamma_hat H_hat".split()
+
+
+def _estimate_rows(T: float, cols: dict[str, np.ndarray]):
+    """estimates.csv rows of one horizon: replication, T, then _ESTIMATES."""
+    return zip(
+        cols["replication"].tolist(), itertools.repeat(T), *(cols[k].tolist() for k in _ESTIMATES)
+    )
+
+
+def _write_estimates_csv(config: ExperimentConfig, rows: list) -> None:
+    path = os.path.join(config.output_dir, "estimates.csv")
+    _write_csv(path, ["replication", "T", *_ESTIMATES], rows)
+
+
+def _ks_check(report: TestReport, T: float, name: str, sample, law, gates: bool) -> None:
+    stat, pval = ks_test(sample, law_cdf(law))
+    report.rows.append(CheckRow(T, name, stat, pval, len(sample), _law_fields(law), gates))
+
+
+def _write_checks_csv(config: ExperimentConfig, report: TestReport) -> None:
+    _write_csv(
+        os.path.join(config.output_dir, "checks.csv"),
+        ["T", "statistic", "ks_stat", "ks_p", "n_reps"],
+        [[r.T, r.statistic, r.ks_stat, r.ks_p, r.n_reps] for r in report.rows],
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> TestReport:
@@ -455,7 +471,15 @@ def run_experiment(config: ExperimentConfig) -> TestReport:
         "mgf-check": _run_mgf_check,
         "hurst-gamma-check": _run_recovery_check,
     }
-    report = runners[config.experiment](config)
+    report = TestReport(
+        experiment=config.experiment,
+        passed=True,
+        rows=[],
+        failures=0,
+        replications=config.replications,
+        details={"failed": []},
+    )
+    runners[config.experiment](config, report)
     payload = _jsonable(report.to_dict())
     payload["config"] = config.to_dict()
     with open(os.path.join(config.output_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -471,220 +495,117 @@ def _insufficient(config: ExperimentConfig, report: TestReport) -> bool:
     return False
 
 
-def _run_simulate(config: ExperimentConfig) -> TestReport:
-    report = TestReport(
-        experiment=config.experiment,
-        passed=True,
-        rows=[],
-        failures=0,
-        replications=config.replications,
-    )
+def _run_simulate(config: ExperimentConfig, report: TestReport) -> None:
     seeds: dict[str, dict[str, int]] = {}
     for T in config.T_list:
-        rows = _collect(config, "paths", T)
-        report.failures += sum(1 for r in rows if "error" in r)
-        grid_times = SampleGrid(horizon=T, n=config.n_grid).times()
-        per_t: dict[str, int] = {}
-        for row in _ok(rows):
-            name = f"path_T{_tag(T)}_rep{row['replication']:05d}.csv"
-            _write_csv(
-                os.path.join(config.output_dir, name),
-                ["t", "value"],
-                list(zip(grid_times, row["values"])),
-            )
-            per_t[name] = row["seed"]
-        seeds[_tag(T)] = per_t
+        cols = _collect(config, report, "paths", T)
+        seeds[_tag(T)] = {
+            _path_csv_name(T, rep): seed
+            for rep, seed in zip(cols["replication"].tolist(), cols["seed"].tolist())
+        }
     report.details["path_seeds"] = seeds
     report.notes.append("no statistical checks configured for simulate")
-    return report
 
 
-def _run_estimate(config: ExperimentConfig) -> TestReport:
-    report = TestReport(
-        experiment=config.experiment,
-        passed=True,
-        rows=[],
-        failures=0,
-        replications=config.replications,
-    )
+def _run_estimate(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
-    estimate_rows: list[list] = []
+    truth = (p.alpha, p.beta, p.alpha, p.beta, p.mean_level, p.beta, p.gamma, p.hurst)
+    estimate_rows: list = []
     medians: dict[str, dict[str, float]] = {}
     for T in config.T_list:
-        rows = _collect(config, "stats+est", T)
-        report.failures += sum(1 for r in rows if "error" in r)
-        _write_stats_csv(config, T, rows)
-        estimate_rows.extend(_estimate_csv_rows(T, rows))
-        ok = _ok(rows)
+        cols = _collect(config, report, "stats+est", T)
+        _write_stats_csv(config, T, cols)
+        estimate_rows.extend(_estimate_rows(T, cols))
         medians[_tag(T)] = {
-            "alpha_hat": float(np.median([abs(r["alpha_hat"] - p.alpha) for r in ok])),
-            "beta_hat": float(np.median([abs(r["beta_hat"] - p.beta) for r in ok])),
-            "alpha_tilde": float(np.median([abs(r["alpha_tilde"] - p.alpha) for r in ok])),
-            "beta_tilde": float(np.median([abs(r["beta_tilde"] - p.beta) for r in ok])),
-            "mu_hat": float(np.median([abs(r["mu_hat"] - p.mean_level) for r in ok])),
-            "kappa_hat": float(np.median([abs(r["kappa_hat"] - p.beta) for r in ok])),
-            "gamma_hat": float(np.median([abs(r["gamma_hat"] - p.gamma) for r in ok])),
-            "H_hat": float(np.median([abs(r["H_hat"] - p.hurst) for r in ok])),
+            key: float(np.nanmedian(np.abs(cols[key] - value)))
+            for key, value in zip(_ESTIMATES, truth)
         }
-    _write_csv(
-        os.path.join(config.output_dir, "estimates.csv"), _ESTIMATE_HEADER, estimate_rows
-    )
+    _write_estimates_csv(config, estimate_rows)
     report.details["median_abs_error"] = medians
     _insufficient(config, report)
-    return report
 
 
-def _run_exact_check(config: ExperimentConfig) -> TestReport:
-    report = TestReport(
-        experiment=config.experiment,
-        passed=True,
-        rows=[],
-        failures=0,
-        replications=config.replications,
-    )
+def _run_exact_check(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     kc = constants(p.hurst, p.gamma)
     law = NormalLaw(mean=0.0, variance=1.0)
     insufficient = _insufficient(config, report)
-    csv_rows: list[list] = []
     for T in config.T_list:
-        rows = _collect(config, "stats", T)
-        report.failures += sum(1 for r in rows if "error" in r)
-        _write_stats_csv(config, T, rows)
-        ok = _ok(rows)
+        cols = _collect(config, report, "stats", T)
+        _write_stats_csv(config, T, cols)
         if insufficient:
             continue
         scale = math.sqrt(kc.lam) * T ** (p.hurst - 1.0)
-        sample = np.array(
-            [scale * (r["S"] + p.beta * r["J"] - p.alpha / p.gamma * r["w"]) for r in ok]
-        )
-        stat, pval = ks_test(sample, law_cdf(law))
+        sample = scale * (cols["S"] + p.beta * cols["J"] - p.alpha / p.gamma * cols["w"])
         # this normalization is pivotal at every horizon, so every row gates
-        row = CheckRow(
-            T=T,
-            statistic="exact_normal",
-            ks_stat=stat,
-            ks_p=pval,
-            n_reps=len(ok),
-            law=_law_fields(law),
-            gates=True,
-        )
-        report.rows.append(row)
-        csv_rows.append([T, row.statistic, stat, pval, len(ok)])
-    _write_csv(
-        os.path.join(config.output_dir, "checks.csv"),
-        ["T", "statistic", "ks_stat", "ks_p", "n_reps"],
-        csv_rows,
-    )
+        _ks_check(report, T, "exact_normal", sample, law, gates=True)
+    _write_checks_csv(config, report)
     report.passed = all(r.ks_p > config.p_threshold for r in report.rows if r.gates)
-    return report
 
 
-def _limit_statistics(p: ModelParams, T: float, ok: list[dict]) -> list[tuple[str, np.ndarray, object]]:
+def _limit_statistics(
+    p: ModelParams, T: float, cols: dict[str, np.ndarray]
+) -> list[tuple[str, np.ndarray, object]]:
     """Normalized error samples paired with their target laws at horizon T."""
-    kc = constants(p.hurst, p.gamma)
     growth = math.exp(-p.beta * T)
     polynomial = T ** (1.0 - p.hurst)
     panel_scale = T ** (p.hurst - 0.5) * math.exp(p.beta * T)
-    w_T = ok[0]["w"]
-
-    alpha_hat = np.array([r["alpha_hat"] for r in ok])
-    beta_hat = np.array([r["beta_hat"] for r in ok])
-    alpha_tilde = np.array([r["alpha_tilde"] for r in ok])
-    beta_tilde = np.array([r["beta_tilde"] for r in ok])
-    mu_hat = np.array([r["mu_hat"] for r in ok])
-    s_vals = np.array([r["S"] for r in ok])
-    i_vals = np.array([r["I"] for r in ok])
-    j_vals = np.array([r["J"] for r in ok])
-
     mu_law, _ = law_mu_kappa_limit(p)
     entries = [
-        ("beta_ratio", growth * (beta_hat - p.beta), law_beta_limit(p)),
-        ("alpha_normal", polynomial * (alpha_hat - p.alpha), law_alpha_limit(p)),
-        ("beta_single_ratio", growth * (beta_tilde - p.beta), law_beta_limit(p)),
+        ("beta_ratio", growth * (cols["beta_hat"] - p.beta), law_beta_limit(p)),
+        ("alpha_normal", polynomial * (cols["alpha_hat"] - p.alpha), law_alpha_limit(p)),
+        ("beta_single_ratio", growth * (cols["beta_tilde"] - p.beta), law_beta_limit(p)),
         (
             "alpha_single_exact",
-            math.sqrt(w_T) / p.gamma * (alpha_tilde - p.alpha),
+            math.sqrt(cols["w"][0]) / p.gamma * (cols["alpha_tilde"] - p.alpha),
             NormalLaw(mean=0.0, variance=1.0),
         ),
-        ("mu_normal", polynomial * (mu_hat - p.mean_level), mu_law),
-        ("I_chi_square", np.exp(2.0 * p.beta * T) * i_vals, law_I_limit(p)),
-        ("S_normal", panel_scale * s_vals, law_S_limit(p)),
-        ("J_normal_stated", panel_scale * j_vals, law_J_limit(p)),
-        ("J_normal_identity", panel_scale * j_vals, law_J_limit_identity(p)),
+        ("mu_normal", polynomial * (cols["mu_hat"] - p.mean_level), mu_law),
+        ("I_chi_square", np.exp(2.0 * p.beta * T) * cols["I"], law_I_limit(p)),
+        ("S_normal", panel_scale * cols["S"], law_S_limit(p)),
+        ("J_normal_stated", panel_scale * cols["J"], law_J_limit(p)),
+        ("J_normal_identity", panel_scale * cols["J"], law_J_limit_identity(p)),
     ]
     if abs(p.x0 - p.mean_level) < 1e-12:
         entries.append(
             (
                 "beta_special_ratio",
-                growth / (2.0 * p.beta) * (beta_hat - p.beta),
+                growth / (2.0 * p.beta) * (cols["beta_hat"] - p.beta),
                 special_case_ratio(p.hurst),
             )
         )
     return entries
 
 
-def _run_limit_check(config: ExperimentConfig) -> TestReport:
-    report = TestReport(
-        experiment=config.experiment,
-        passed=True,
-        rows=[],
-        failures=0,
-        replications=config.replications,
-    )
+def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     t_max = max(config.T_list)
     insufficient = _insufficient(config, report)
-    estimate_rows: list[list] = []
-    csv_rows: list[list] = []
+    estimate_rows: list = []
     independence: dict[str, float] = {}
     drift_gap: dict[str, float] = {}
     for T in config.T_list:
-        rows = _collect(config, "stats+est", T)
-        report.failures += sum(1 for r in rows if "error" in r)
-        _write_stats_csv(config, T, rows)
-        estimate_rows.extend(_estimate_csv_rows(T, rows))
-        ok = _ok(rows)
+        cols = _collect(config, report, "stats+est", T)
+        _write_stats_csv(config, T, cols)
+        estimate_rows.extend(_estimate_rows(T, cols))
         if insufficient:
             continue
-        for name, sample, law in _limit_statistics(p, T, ok):
-            stat, pval = ks_test(sample, law_cdf(law))
+        for name, sample, law in _limit_statistics(p, T, cols):
             # asymptotic laws gate only at the largest horizon; the exact
             # pivot gates everywhere; the stated J constants never gate
             gates = name == "alpha_single_exact" or (
                 T == t_max and name != "J_normal_stated"
             )
-            row = CheckRow(
-                T=T,
-                statistic=name,
-                ks_stat=stat,
-                ks_p=pval,
-                n_reps=len(sample),
-                law=_law_fields(law),
-                gates=gates,
-            )
-            report.rows.append(row)
-            csv_rows.append([T, name, stat, pval, len(sample)])
+            _ks_check(report, T, name, sample, law, gates)
 
-        growth = math.exp(-p.beta * T)
-        polynomial = T ** (1.0 - p.hurst)
-        beta_err = growth * (np.array([r["beta_hat"] for r in ok]) - p.beta)
-        alpha_err = polynomial * (np.array([r["alpha_hat"] for r in ok]) - p.alpha)
-        res = spearmanr(alpha_err, beta_err)
-        independence[_tag(T)] = float(getattr(res, "statistic", getattr(res, "correlation", res[0])))
-        ratio = np.array(
-            [(r["S"] + p.beta * r["J"]) / r["w"] for r in ok]
-        )
+        beta_err = math.exp(-p.beta * T) * (cols["beta_hat"] - p.beta)
+        alpha_err = T ** (1.0 - p.hurst) * (cols["alpha_hat"] - p.alpha)
+        independence[_tag(T)] = float(spearmanr(alpha_err, beta_err).statistic)
+        ratio = (cols["S"] + p.beta * cols["J"]) / cols["w"]
         drift_gap[_tag(T)] = float(np.median(ratio)) - p.alpha / p.gamma
 
-    _write_csv(
-        os.path.join(config.output_dir, "checks.csv"),
-        ["T", "statistic", "ks_stat", "ks_p", "n_reps"],
-        csv_rows,
-    )
-    _write_csv(
-        os.path.join(config.output_dir, "estimates.csv"), _ESTIMATE_HEADER, estimate_rows
-    )
+    _write_checks_csv(config, report)
+    _write_estimates_csv(config, estimate_rows)
     report.details["spearman_alpha_beta"] = independence
     report.details["drift_ratio_median_gap"] = drift_gap
     ks_pass = all(r.ks_p > config.p_threshold for r in report.rows if r.gates)
@@ -697,7 +618,6 @@ def _run_limit_check(config: ExperimentConfig) -> TestReport:
         "drift_ratio": drift_pass,
     }
     report.passed = ks_pass and indep_pass and drift_pass
-    return report
 
 
 def _bootstrap_se(exponents: np.ndarray, rng: np.random.Generator) -> float:
@@ -710,35 +630,23 @@ def _bootstrap_se(exponents: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.std(estimates, ddof=1))
 
 
-def _run_mgf_check(config: ExperimentConfig) -> TestReport:
-    report = TestReport(
-        experiment=config.experiment,
-        passed=True,
-        rows=[],
-        failures=0,
-        replications=config.replications,
-    )
+def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     T = config.T_list[0]
     if len(config.T_list) > 1:
         report.notes.append("mgf-check uses only the first horizon in T_list")
-    rows = _collect(config, "stats", T)
-    report.failures += sum(1 for r in rows if "error" in r)
-    _write_stats_csv(config, T, rows)
-    ok = _ok(rows)
+    cols = _collect(config, report, "stats", T)
+    _write_stats_csv(config, T, cols)
     if _insufficient(config, report):
         _write_csv(
             os.path.join(config.output_dir, "mgf.csv"),
             ["xi1", "xi2", "log_m1_closed", "log_m1_mc", "se"],
             [],
         )
-        return report
+        return
 
-    s_vals = np.array([r["S"] for r in ok])
-    i_vals = np.array([r["I"] for r in ok])
-    j_vals = np.array([r["J"] for r in ok])
-    k_vals = np.array([r["K"] for r in ok])
-    n = len(ok)
+    s_vals, i_vals, j_vals, k_vals = cols["S"], cols["I"], cols["J"], cols["K"]
+    n = s_vals.size
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, 2**32]))
 
     csv_rows: list[list] = []
@@ -801,17 +709,9 @@ def _run_mgf_check(config: ExperimentConfig) -> TestReport:
         "reduction_identity": reduction_worst <= 1e-12,
     }
     report.passed = all(report.details["gates"].values())
-    return report
 
 
-def _run_recovery_check(config: ExperimentConfig) -> TestReport:
-    report = TestReport(
-        experiment=config.experiment,
-        passed=True,
-        rows=[],
-        failures=0,
-        replications=config.replications,
-    )
+def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     T = config.T_list[0]
     if len(config.T_list) > 1:
@@ -825,16 +725,15 @@ def _run_recovery_check(config: ExperimentConfig) -> TestReport:
     csv_rows: list[list] = []
     outcomes: dict[str, float] = {}
     for kind, target, params in settings:
-        rows = _collect(config, "recover", T, params=params)
-        report.failures += sum(1 for r in rows if "error" in r)
-        ok = _ok(rows)
+        setting = f"{kind}={target:g}"
+        cols = _collect(config, report, "recover", T, params=params, setting=setting)
         if kind == "H":
-            errors = [abs(r["H_hat"] - target) for r in ok]
+            errors = np.abs(cols["H_hat"] - target)
         else:
-            errors = [abs(r["gamma_hat"] - target) / target for r in ok]
+            errors = np.abs(cols["gamma_hat"] - target) / target
         median_error = float(np.median(errors))
-        outcomes[f"{kind}={target:g}"] = median_error
-        csv_rows.append([kind, target, median_error, len(ok)])
+        outcomes[setting] = median_error
+        csv_rows.append([kind, target, median_error, errors.size])
     _write_csv(
         os.path.join(config.output_dir, "recovery.csv"),
         ["parameter", "target", "median_error", "n_reps"],
@@ -843,4 +742,3 @@ def _run_recovery_check(config: ExperimentConfig) -> TestReport:
     report.details["median_errors"] = outcomes
     report.details["gate"] = _RECOVERY_GATE
     report.passed = all(err < _RECOVERY_GATE for err in outcomes.values())
-    return report

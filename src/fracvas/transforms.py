@@ -153,22 +153,29 @@ class ProcessPanel:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Horizon statistics feeding the drift estimators."""
+    """Horizon statistics feeding the drift estimators.
 
-    S: float
-    I: float
-    J: float
-    K: float
-    w: float
+    S, I, J, K and w are floats for one path, or arrays with one entry per
+    path for a block of replications (w may stay a float).
+    """
+
+    S: float | np.ndarray
+    I: float | np.ndarray
+    J: float | np.ndarray
+    K: float | np.ndarray
+    w: float | np.ndarray
     horizon: float
     hurst: float
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.K >= 0.0:
-            raise ValueError(f"K must be nonnegative, got {self.K!r}")
-        if not self.w > 0.0:
-            raise ValueError(f"w must be positive, got {self.w!r}")
+        for name in ("S", "I", "J", "K", "w"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(self.K >= 0.0):
+            raise ValueError(f"K must be nonnegative, got {np.min(self.K)}")
+        if not np.all(self.w > 0.0):
+            raise ValueError(f"w must be positive, got {np.min(self.w)}")
 
 
 class PanelEngine:
@@ -336,7 +343,11 @@ class PanelEngine:
         return i_vals, k_vals
 
     def statistics(self, values: np.ndarray, gamma: float) -> dict[str, np.ndarray]:
-        """Batched horizon statistics {S, I, J, K} plus the scalar w."""
+        """Batched horizon statistics {S, I, J, K} plus the scalar w.
+
+        "qv" is each path's quadratic variation of the S panel on the inner
+        grid; gamma sqrt(qv / w) estimates the noise scale.
+        """
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
         z, f = self.raw_panels(values)
@@ -350,6 +361,7 @@ class PanelEngine:
             "J": f[:, -1] / gamma,
             "K": k_vals,
             "w": float(self.w_inner[-1]),
+            "qv": np.sum(np.diff(s, axis=1) ** 2, axis=1),
         }
 
     def panel(self, values: np.ndarray, gamma: float) -> ProcessPanel:

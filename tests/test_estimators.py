@@ -19,14 +19,12 @@ from fracvas.estimators import (
 )
 from fracvas.fbm import SampleGrid, generate_fbm
 from fracvas.model import ModelParams, simulate_exact
-from fracvas.transforms import constants, sufficient_stats
+from fracvas.transforms import SufficientStats, constants, shared_engine, sufficient_stats
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
 
 
 def _stats(S, I, J, K, w):
-    from fracvas.transforms import SufficientStats
-
     return SufficientStats(S=S, I=I, J=J, K=K, w=w, horizon=w, hurst=0.7, gamma=1.0)
 
 
@@ -67,6 +65,72 @@ def test_mu_kappa_identity_and_errors():
         assert mk.beta_hat == pytest.approx(joint.beta_hat, rel=1e-12)
     with pytest.raises(DegenerateStatsError):
         mle_mu_kappa(_stats(S=1.0, I=0.0, J=0.0, K=1.0, w=1.0), gamma=1.0)
+
+
+def test_sufficient_stats_refuse_non_finite_fields():
+    fields = {"S": 1.0, "I": 0.0, "J": 0.0, "K": 1.0, "w": 1.0}
+    for name in fields:
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                _stats(**dict(fields, **{name: bad}))
+
+
+def test_non_finite_estimates_raise():
+    # finite statistics whose products overflow: S K = 1e400
+    huge = _stats(S=1e200, I=0.0, J=0.0, K=1e200, w=1.0)
+    with pytest.raises(DegenerateStatsError, match="alpha_hat is not finite"):
+        mle_joint(huge, gamma=1.0)
+    with pytest.raises(DegenerateStatsError, match="mu_hat is not finite"):
+        mle_mu_kappa(_stats(S=1e200, I=-1.0, J=1.0, K=1e200, w=1.0), gamma=1.0)
+    with pytest.raises(DegenerateStatsError, match="alpha_tilde is not finite"):
+        mle_alpha(_stats(S=1e308, I=0.0, J=1e308, K=1.0, w=1.0), 1.0, 1.0)
+    with pytest.raises(DegenerateStatsError, match="beta_tilde is not finite"):
+        mle_beta(_stats(S=0.0, I=0.0, J=1e308, K=1e-10, w=1.0), 1.0, alpha_known=1.0)
+    # J^2 overflows the joint denominator to -inf instead of raising OverflowError
+    with pytest.raises(DegenerateStatsError, match="slope information"):
+        mle_joint(_stats(S=1.0, I=0.0, J=1e200, K=1.0, w=1.0), gamma=1.0)
+
+
+def test_array_fields_match_per_row_scalars_bitwise():
+    grid = SampleGrid(horizon=5.0, n=2**12)
+    engine = shared_engine(grid, DESK.hurst)
+    paths = [simulate_exact(DESK, grid, seed=500_000 + r).values for r in range(40)]
+    out = engine.statistics(np.asarray(paths), DESK.gamma)
+    block = SufficientStats(
+        S=out["S"], I=out["I"], J=out["J"], K=out["K"], w=out["w"],
+        horizon=5.0, hurst=DESK.hurst, gamma=DESK.gamma,
+    )
+    results = {
+        "joint": mle_joint(block, DESK.gamma),
+        "mu_kappa": mle_mu_kappa(block, DESK.gamma),
+        "alpha": mle_alpha(block, DESK.gamma, beta_known=DESK.beta),
+        "beta": mle_beta(block, DESK.gamma, alpha_known=DESK.alpha),
+    }
+    for i in range(40):
+        row = SufficientStats(
+            S=float(out["S"][i]), I=float(out["I"][i]), J=float(out["J"][i]),
+            K=float(out["K"][i]), w=out["w"], horizon=5.0, hurst=DESK.hurst, gamma=DESK.gamma,
+        )
+        joint = mle_joint(row, DESK.gamma)
+        pair = mle_mu_kappa(row, DESK.gamma)
+        assert joint.alpha_hat == results["joint"].alpha_hat[i]
+        assert joint.beta_hat == results["joint"].beta_hat[i]
+        assert pair.alpha_hat == results["mu_kappa"].alpha_hat[i]
+        assert pair.beta_hat == results["mu_kappa"].beta_hat[i]
+        assert mle_alpha(row, DESK.gamma, beta_known=DESK.beta) == results["alpha"][i]
+        assert mle_beta(row, DESK.gamma, alpha_known=DESK.alpha) == results["beta"][i]
+
+
+def test_array_fields_fail_as_a_block():
+    good = np.array([1.0, 2.0])
+    with pytest.raises(DegenerateStatsError):
+        mle_beta(_stats(S=good, I=good, J=good, K=np.array([1.0, 0.0]), w=1.0), 1.0, 0.0)
+    with pytest.raises(DegenerateStatsError):
+        mle_mu_kappa(
+            _stats(S=good, I=np.array([0.0, 1.0]), J=np.array([0.0, 1.0]), K=good, w=1.0), 1.0
+        )
+    with pytest.raises(ValueError, match="K must be finite"):
+        _stats(S=good, I=good, J=good, K=np.array([1.0, np.inf]), w=1.0)
 
 
 def test_variant_tag_validation():

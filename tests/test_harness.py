@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fracvas import harness
+from fracvas.estimators import DegenerateStatsError, estimate_gamma
+from fracvas.fbm import SampleGrid
 from fracvas.harness import (
     ExperimentConfig,
     ks_test,
@@ -17,7 +20,7 @@ from fracvas.harness import (
     run_experiment,
 )
 from fracvas.limits import law_beta_limit, ratio_cdf, vector_limit
-from fracvas.model import ModelParams
+from fracvas.model import ModelParams, simulate_exact
 
 DESK_PARAMS = {"alpha": 1.0, "beta": -0.5, "gamma": 1.0, "hurst": 0.7, "x0": 0.3}
 
@@ -148,6 +151,40 @@ def test_worker_invariance_bitwise(tmp_path):
         assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w4" / name, shallow=False)
 
 
+def test_limit_check_worker_invariance_bitwise(tmp_path):
+    base = {
+        "experiment": "limit-check",
+        "T_list": [2.0],
+        "n_grid": 4096,
+        "replications": 150,
+        "master_seed": 99,
+    }
+    reports = [
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / f"w{k}"), workers=k, **base))
+        for k in (1, 2)
+    ]
+    for name in ("stats_T2.csv", "estimates.csv", "checks.csv"):
+        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False)
+    assert reports[0].details == reports[1].details
+
+
+def test_simulate_worker_invariance_bitwise(tmp_path):
+    base = {"experiment": "simulate", "n_grid": 64, "replications": 150}
+    reports = [
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / f"w{k}"), workers=k, **base))
+        for k in (1, 2)
+    ]
+    names = sorted(os.listdir(tmp_path / "w1"))
+    assert names == sorted(os.listdir(tmp_path / "w2"))
+    assert sum(n.startswith("path_") for n in names) == 150
+    for name in names:
+        if name != "report.json":
+            assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False)
+    seeds = reports[0].details["path_seeds"]
+    assert seeds == reports[1].details["path_seeds"]
+    assert seeds["2"] == {f"path_T2_rep{r:05d}.csv": replication_seed(7, r) for r in range(150)}
+
+
 def test_rerun_determinism(tmp_path):
     cfg_a = _config(tmp_path, output_dir=str(tmp_path / "a"), replications=60)
     cfg_b = _config(tmp_path, output_dir=str(tmp_path / "b"), replications=60)
@@ -225,10 +262,100 @@ def test_exact_check_passes_at_modest_scale(tmp_path):
 
 
 def test_failure_rate_aborts(tmp_path):
-    # noise recovery requires n >= 4096, so every replication fails fast
-    cfg = _config(tmp_path, experiment="estimate", n_grid=512, replications=30)
+    # beta T = -750 overflows the exact solution, so every simulation fails
+    cfg = _config(tmp_path, T_list=[1500.0], n_grid=512, replications=30)
     with pytest.raises(RuntimeError, match="> 1%"):
         run_experiment(cfg)
+
+
+def test_recovering_experiments_refuse_coarse_grids(tmp_path):
+    for experiment in ("estimate", "limit-check", "hurst-gamma-check"):
+        with pytest.raises(ValueError, match="n_grid >= 4096"):
+            _config(tmp_path, experiment=experiment, n_grid=2048)
+
+
+def test_failed_hurst_voids_only_its_column(tmp_path):
+    # near H = 1 the second-difference ratio leaves (0, 1) on a few paths;
+    # H is taken as known, so those rows keep their drift statistics
+    cfg = _config(
+        tmp_path,
+        experiment="limit-check",
+        params=dict(DESK_PARAMS, hurst=0.97),
+        T_list=[2.0, 3.0],
+        n_grid=4096,
+        replications=80,
+        master_seed=99,
+    )
+    report = run_experiment(cfg)
+    assert report.failures == 0
+    failed = report.details["failed"]
+    assert failed and {f["stage"] for f in failed} == {"hurst"}
+    assert {f["T"] for f in failed} <= {2.0, 3.0}
+    assert all("outside (0, 1)" in f["message"] for f in failed)
+    assert all(r.n_reps == 80 for r in report.rows)
+    lines = (tmp_path / "out" / "estimates.csv").read_text().strip().splitlines()[1:]
+    assert len(lines) == 160
+    rows = [line.split(",") for line in lines]
+    nan_rows = {(float(r[1]), int(r[0])) for r in rows if r[-1] == "nan"}
+    assert nan_rows == {(f["T"], f["replication"]) for f in failed}
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["details"]["failed"] == failed
+
+
+def test_failure_records_carry_the_setting(tmp_path, monkeypatch):
+    # one failed recovery voids its replication (1 of 100 is within the 1%
+    # budget) and is recorded with the sweep setting it belongs to
+    real = harness.estimate_hurst
+    calls = []
+
+    def flaky(path):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DegenerateStatsError("injected")
+        return real(path)
+
+    monkeypatch.setattr(harness, "estimate_hurst", flaky)
+    cfg = _config(
+        tmp_path, experiment="hurst-gamma-check", T_list=[1.0], n_grid=4096, replications=100
+    )
+    report = run_experiment(cfg)
+    assert report.failures == 1
+    assert report.details["failed"] == [
+        {
+            "setting": "H=0.6",
+            "T": 1.0,
+            "replication": 0,
+            "stage": "hurst",
+            "message": "DegenerateStatsError: injected",
+        }
+    ]
+    lines = (tmp_path / "out" / "recovery.csv").read_text().strip().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["99", "100", "100", "100", "100"]
+
+
+def test_failed_list_always_present(tmp_path):
+    report = run_experiment(_config(tmp_path, replications=30))
+    assert report.details["failed"] == []
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload["details"]["failed"] == []
+
+
+@pytest.mark.parametrize("n_grid", [4096, 8192])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_block_gamma_matches_per_path_recovery(tmp_path, n_grid, gamma):
+    params = dict(DESK_PARAMS, gamma=gamma)
+    cfg = _config(
+        tmp_path, experiment="estimate", params=params, n_grid=n_grid, replications=6
+    )
+    run_experiment(cfg)
+    lines = (tmp_path / "out" / "estimates.csv").read_text().strip().splitlines()[1:]
+    grid = SampleGrid(horizon=2.0, n=n_grid)
+    for line in lines:
+        fields = line.split(",")
+        rep, block = int(fields[0]), float(fields[-2])
+        path = simulate_exact(ModelParams(**params), grid, seed=replication_seed(7, rep))
+        single = estimate_gamma(path, DESK_PARAMS["hurst"])
+        assert abs(block - single) <= 1e-14 * single
 
 
 def test_limit_check_rows_and_gating(tmp_path):
