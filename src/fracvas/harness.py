@@ -139,8 +139,8 @@ class ExperimentConfig:
             raise ValueError(f"workers must be positive, got {self.workers!r}")
         if not 0.0 < self.p_threshold < 1.0:
             raise ValueError(f"p_threshold must lie in (0, 1), got {self.p_threshold!r}")
-        if self.experiment == "limit-check" and not self.params.beta < 0.0:
-            raise ValueError("limit-check requires beta < 0")
+        if self.experiment in ("limit-check", "mgf-check") and not self.params.beta < 0.0:
+            raise ValueError(f"{self.experiment} requires beta < 0")
         if self.experiment in _RECOVERING and n < _MIN_RECOVERY_N:
             raise ValueError(
                 f"{self.experiment} recovers H and gamma from every path, which needs "

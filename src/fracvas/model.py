@@ -13,6 +13,8 @@ first-order scheme on the same driver, kept as a coupling oracle for tests.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,8 @@ import numpy as np
 from .fbm import FbmPath, SampleGrid, generate_fbm
 
 __all__ = ["ModelParams", "VasicekPath", "simulate_exact", "simulate_euler"]
+
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)  # exp overflows past this
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,13 @@ def _resolve_driver(
     return generate_fbm(params.hurst, grid, seed).values, seed
 
 
+def _overflow_error(beta_t: float) -> ValueError:
+    return ValueError(
+        f"exact solution is not finite at beta*T = {beta_t:.6g}: "
+        "exp(|beta| t) leaves the double range once |beta*T| exceeds about 709"
+    )
+
+
 def simulate_exact(
     params: ModelParams,
     grid: SampleGrid,
@@ -79,9 +90,11 @@ def simulate_exact(
     driver: FbmPath | None = None,
 ) -> VasicekPath:
     """Exact-solution sample on the grid (quadrature only in the convolution)."""
+    beta = params.beta
+    if abs(beta * grid.horizon) > _LOG_MAX_FLOAT:
+        raise _overflow_error(beta * grid.horizon)
     noise, used_seed = _resolve_driver(params, grid, seed, driver)
     t = grid.times()
-    beta = params.beta
     decay = np.exp(-beta * t)
 
     # G_i = int_0^{t_i} e^{beta s} B_s ds by cumulative trapezoid.
@@ -94,10 +107,7 @@ def simulate_exact(
     convolution = noise - beta * decay * g
     values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
     if not np.all(np.isfinite(values)):
-        raise ValueError(
-            f"exact solution is not finite at beta*T = {beta * grid.horizon:.6g}: "
-            "exp(|beta| t) leaves the double range once |beta*T| exceeds about 709"
-        )
+        raise _overflow_error(beta * grid.horizon)
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)
 
 

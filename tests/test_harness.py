@@ -268,6 +268,12 @@ def test_failure_rate_aborts(tmp_path):
         run_experiment(cfg)
 
 
+def test_mgf_check_refuses_ergodic_beta(tmp_path):
+    # the closed-form MGFs exist only for beta < 0; refuse before simulating
+    with pytest.raises(ValueError, match="mgf-check requires beta < 0"):
+        _config(tmp_path, experiment="mgf-check", params=dict(DESK_PARAMS, beta=0.5))
+
+
 def test_recovering_experiments_refuse_coarse_grids(tmp_path):
     for experiment in ("estimate", "limit-check", "hurst-gamma-check"):
         with pytest.raises(ValueError, match="n_grid >= 4096"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracvas import model
 from fracvas.fbm import FbmPath, SampleGrid, generate_fbm
 from fracvas.model import ModelParams, simulate_euler, simulate_exact
 
@@ -58,7 +59,6 @@ def test_driver_grid_mismatch_rejected():
         simulate_exact(DESK, grid, driver=drv)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exact_refuses_overflowing_horizon():
     # exp(beta t) overflows once beta*T passes ~709, on either branch
     grid = SampleGrid(horizon=400.0, n=1024)
@@ -66,6 +66,16 @@ def test_exact_refuses_overflowing_horizon():
         params = ModelParams(alpha=1.0, beta=beta, gamma=1.0, hurst=0.7, x0=0.3)
         with pytest.raises(ValueError, match=r"beta\*T = -?800"):
             simulate_exact(params, grid, seed=3)
+
+
+def test_exact_refuses_overflow_before_drawing_the_driver(monkeypatch):
+    def no_driver(*args, **kwargs):
+        raise AssertionError("the fBm driver must not be drawn")
+
+    monkeypatch.setattr(model, "generate_fbm", no_driver)
+    params = ModelParams(alpha=1.0, beta=-2.0, gamma=1.0, hurst=0.7, x0=0.3)
+    with pytest.raises(ValueError, match=r"beta\*T = -800"):
+        simulate_exact(params, SampleGrid(horizon=400.0, n=1024), seed=3)
 
 
 def test_euler_matches_exact_on_zero_driver():

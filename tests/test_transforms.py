@@ -7,15 +7,12 @@ import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
+from fracvas import transforms
 from fracvas.fbm import SampleGrid
 from fracvas.model import ModelParams, VasicekPath, simulate_exact
 from fracvas.transforms import (
-    PanelAlignmentError,
     PanelEngine,
     QuadratureConvergenceError,
-    compute_I_K,
-    compute_J,
-    compute_S,
     constants,
     kernel_k,
     martingale_M,
@@ -71,35 +68,39 @@ def test_engine_validation():
     PanelEngine(grid, 0.5, stride=16)
 
 
-def test_linear_path_closed_forms():
+def test_linear_path_closed_forms(monkeypatch):
     # X_t = t: then S_t = w(t), F_t = B(2+a, 1+a)/kappa * t^(2+2a),
     # P_t = lam/kappa * B(2+a, 1+a) * (2+2a)/(1+2a) * t, with a = 1/2 - H.
+    # Checked on both engine forms; a one-cell dense budget forces the FFT.
     hurst = 0.7
     a = 0.5 - hurst
     grid = SampleGrid(horizon=5.0, n=2**13)
-    eng = PanelEngine(grid, hurst, stride=16)
     kc = constants(hurst, 1.0)
     t_lin = grid.times()
-    Z, F = eng.raw_panels(t_lin[None, :])
-    inner = eng.inner_times[1:]
+    for dense_cells, dense in ((transforms._MAX_DENSE_CELLS, True), (1, False)):
+        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
+        eng = PanelEngine(grid, hurst, stride=16)
+        assert (eng._weights is not None) == dense
+        Z, F = eng.raw_panels(t_lin[None, :])
+        inner = eng.inner_times[1:]
 
-    err_s = np.abs(Z[0][1:] - kc.w(inner)) / kc.w(inner)
-    assert err_s.max() < 2e-3
-    assert np.median(err_s) < 1e-4
-    assert err_s[-1] < 1e-5  # horizon row uses the most cells
+        err_s = np.abs(Z[0][1:] - kc.w(inner)) / kc.w(inner)
+        assert err_s.max() < 2e-3
+        assert np.median(err_s) < 1e-4
+        assert err_s[-1] < 1e-5  # horizon row uses the most cells
 
-    f_exact = beta_fn(2.0 + a, 1.0 + a) / kc.kappa * inner ** (2.0 + 2.0 * a)
-    err_f = np.abs(F[0][1:] - f_exact) / f_exact
-    assert err_f.max() < 2e-3
-    assert err_f[-1] < 1e-5
+        f_exact = beta_fn(2.0 + a, 1.0 + a) / kc.kappa * inner ** (2.0 + 2.0 * a)
+        err_f = np.abs(F[0][1:] - f_exact) / f_exact
+        assert err_f.max() < 2e-3
+        assert err_f[-1] < 1e-5
 
-    pan = eng.panel(t_lin[None, :], 1.0)
-    slope = kc.lam / kc.kappa * beta_fn(2.0 + a, 1.0 + a) * (2.0 + 2.0 * a) / (1.0 + 2.0 * a)
-    err_p = np.abs(pan.P - slope * pan.p_times) / (slope * pan.p_times)
-    # first point has a genuinely wide stencil relative to t; it sharpens fast
-    assert err_p[0] < 0.3
-    assert err_p[8:].max() < 2e-3
-    assert np.median(err_p[1:-1]) < 1e-4
+        P = eng.derivative_panel(F, 1.0)[0]
+        slope = kc.lam / kc.kappa * beta_fn(2.0 + a, 1.0 + a) * (2.0 + 2.0 * a) / (1.0 + 2.0 * a)
+        err_p = np.abs(P - slope * inner) / (slope * inner)
+        # first point has a genuinely wide stencil relative to t; it sharpens fast
+        assert err_p[0] < 0.3
+        assert err_p[8:].max() < 2e-3
+        assert np.median(err_p[1:-1]) < 1e-4
 
 
 def test_constant_path_closed_forms():
@@ -167,7 +168,6 @@ def test_sufficient_stats_match_engine_dict():
     assert stats.J == out["J"][0]
     assert stats.K == out["K"][0]
     assert stats.w == out["w"]
-    assert stats.J == compute_J(path)
     m = martingale_M(stats, DESK)
     assert m == pytest.approx(stats.S + DESK.beta * stats.J - DESK.alpha / DESK.gamma * stats.w, rel=1e-15)
 
@@ -182,14 +182,16 @@ def test_cauchy_schwarz_between_stats():
         assert stats.K > 0.0
 
 
-def test_fft_panels_match_dense_matrix():
+def test_fft_panels_match_dense_matrix(monkeypatch):
     # Same quadrature weights, two evaluation orders: dense matmul vs the
     # convolution form used for large problems.  Agreement to rounding.
     for n, stride in ((4096, 16), (4096, 1), (2048, 2)):
         grid = SampleGrid(horizon=5.0, n=n)
-        dense = PanelEngine(grid, 0.7, stride=stride, max_dense_cells=10**9)
-        fft = PanelEngine(grid, 0.7, stride=stride, max_dense_cells=1)
-        assert dense._dense and not fft._dense
+        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
+        dense = PanelEngine(grid, 0.7, stride=stride)
+        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
+        fft = PanelEngine(grid, 0.7, stride=stride)
+        assert dense._weights is not None and fft._weights is None
         rng = np.random.default_rng(3)
         vals = np.cumsum(rng.standard_normal((3, n + 1)), axis=1) * 0.02
         vals[:, 0] = 0.0
@@ -219,26 +221,16 @@ def test_refinement_check_rejects_rough_junk():
         refinement_check(junk, stride=16)
 
 
-def test_panel_alignment_error():
-    grid_a = SampleGrid(horizon=5.0, n=2**12)
-    grid_b = SampleGrid(horizon=5.0, n=2**11)
-    path_a = simulate_exact(DESK, grid_a, seed=31)
-    path_b = simulate_exact(DESK, grid_b, seed=31)
-    ph_panel = compute_S(path_b, stride=16)
-    s_panel = compute_S(path_a, stride=16)
-    with pytest.raises(PanelAlignmentError):
-        compute_I_K(path_a, ph_panel, s_panel)
-
-
 def test_reconstruction_roundtrip():
     # X -> S -> X at four interior times; error measured against path scale
     # because the unstable drift (beta < 0) grows the state to ~40.
     grid = SampleGrid(horizon=5.0, n=2**14)
     path = simulate_exact(DESK, grid, seed=555)
-    s_panel = compute_S(path, stride=4)
-    m = len(s_panel.times) - 1
+    eng = PanelEngine(grid, DESK.hurst, stride=4)
+    Z, _ = eng.raw_panels(path.values)
+    m = eng.n_inner
     idx = np.array([m // 4, m // 2, 3 * m // 4, m])
-    out_t, out_x = reconstruct_X(s_panel, DESK, out_indices=idx)
+    out_t, out_x = reconstruct_X(eng.inner_times, Z[0] / DESK.gamma, DESK, out_indices=idx)
     actual = path.values[::4][idx]
     np.testing.assert_allclose(out_t, [1.25, 2.5, 3.75, 5.0])
     scale = np.abs(path.values).max()
