@@ -153,8 +153,8 @@ def estimate_gamma(path, hurst: float) -> float:
     squared increments over any refining partition sum to gamma^2 w(T).
     The partition size is capped so the weight panel stays affordable at
     large n; the estimate is unbiased at any partition because Z has
-    independent Gaussian increments.  With gamma = 1 the S panel of
-    `PanelEngine.statistics` is Z itself, so its "qv" is the sum.
+    independent Gaussian increments.  Only Z is computed, by one
+    `PanelEngine.transform` of the path increments (no F, P, I or K).
     """
     values, grid = _path_arrays(path)
     if grid.n < _MIN_RECOVERY_N:
@@ -163,11 +163,11 @@ def estimate_gamma(path, hurst: float) -> float:
     if grid.n % blocks:
         raise ValueError(f"n = {grid.n} not divisible by the {blocks}-block partition")
     engine = shared_engine(grid, hurst, stride=grid.n // blocks)
-    out = engine.statistics(values[None, :], 1.0)
-    variation = float(out["qv"][0])
+    z = engine.transform(np.diff(values)[None, :])
+    variation = float(np.sum(np.diff(z, axis=1, prepend=0.0) ** 2, axis=1)[0])
     if not variation > 0.0:
         raise DegenerateStatsError("flat path: zero quadratic variation")
-    return math.sqrt(variation / out["w"])
+    return math.sqrt(variation / float(engine.w_inner[-1]))
 
 
 def estimate_hurst(path) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "fbm_cov",
     "generate_fbm",
     "exact_gaussian_oracle",
-    "save_path_csv",
 ]
 
 _EIGENVALUE_CLIP_RTOL = 1e-10
@@ -155,17 +154,3 @@ def exact_gaussian_oracle(hurst: float, grid: SampleGrid, seed: int) -> FbmPath:
     values[1:] = root @ rng.standard_normal(grid.n)
     return FbmPath(grid=grid, hurst=hurst, values=values)
 
-
-def save_path_csv(times: np.ndarray, values: np.ndarray, dest) -> None:
-    """Write a two-column t,value CSV with 17 significant digits."""
-    if len(times) != len(values):
-        raise ValueError("times and values must have equal length")
-    own = isinstance(dest, (str, bytes))
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write("t,value\n")
-        for t, x in zip(times, values):
-            fh.write(f"{t:.17g},{x:.17g}\n")
-    finally:
-        if own:
-            fh.close()

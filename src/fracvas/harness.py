@@ -28,12 +28,12 @@ variant ("J_normal_identity") gates instead.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.special import logsumexp
@@ -48,12 +48,11 @@ from .estimators import (
     mle_joint,
     mle_mu_kappa,
 )
-from .fbm import SampleGrid, save_path_csv
+from .fbm import SampleGrid
 from .limits import (
     NormalLaw,
     RatioLaw,
     ScaledChiSquareLaw,
-    VectorLimit,
     ZetaLaw,
     law_alpha_limit,
     law_beta_limit,
@@ -122,12 +121,19 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
+        if isinstance(self.T_list, str):
+            raise ValueError(f"T_list must be a list of horizons, not the string {self.T_list!r}")
         t_list = tuple(float(t) for t in self.T_list)
         object.__setattr__(self, "T_list", t_list)
         if not t_list:
             raise ValueError("T_list must be nonempty")
         if any(not t > 0.0 for t in t_list):
             raise ValueError(f"all horizons must be positive, got {t_list!r}")
+        tags = [_tag(t) for t in t_list]
+        if len(set(tags)) < len(tags):
+            raise ValueError(
+                f"horizons must differ in their 6-significant-digit file tags, got {tags!r}"
+            )
         n = self.n_grid
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"n_grid must be a power of two >= 4, got {n!r}")
@@ -174,17 +180,7 @@ class ExperimentConfig:
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": dataclasses.asdict(self.params),
-            "T_list": list(self.T_list),
-            "n_grid": self.n_grid,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "output_dir": self.output_dir,
-            "p_threshold": self.p_threshold,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -214,31 +210,12 @@ class TestReport:
     notes: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "passed": self.passed,
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "failures": self.failures,
-            "replications": self.replications,
-            "notes": self.notes,
-            "details": self.details,
-        }
 
-
-def _jsonable(obj):
-    """Recursively convert numpy scalars so json.dump accepts the payload."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_scalar(obj):
+    """json.dump hook: a numpy scalar as its Python value (np.float64 is a float already)."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
@@ -272,30 +249,23 @@ def law_cdf(law) -> "callable":
 
 
 def _law_fields(law) -> dict:
-    if isinstance(law, (NormalLaw, ZetaLaw)):
-        return {"type": type(law).__name__, "mean": law.mean, "variance": law.variance}
-    if isinstance(law, RatioLaw):
-        return {"type": "RatioLaw", "zeta": _law_fields(law.zeta)}
-    if isinstance(law, ScaledChiSquareLaw):
-        return {"type": "ScaledChiSquareLaw", "scale": law.scale, "zeta": _law_fields(law.zeta)}
-    if isinstance(law, VectorLimit):
-        return {"type": "VectorLimit", "xi": _law_fields(law.xi), "zeta": _law_fields(law.zeta)}
-    raise TypeError(f"no description for {type(law).__name__}")
+    """The law's type name plus its fields, nested laws described the same way."""
+    out = {"type": type(law).__name__}
+    for f in dataclasses.fields(law):
+        value = getattr(law, f.name)
+        out[f.name] = _law_fields(value) if dataclasses.is_dataclass(value) else value
+    return out
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, columns: dict) -> None:
+    """Write named columns as one CSV: floats with 17 significant digits, which
+    round-trip every double, and every other cell through str."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+    cells = tuple(chain.from_iterable(zip(*(a.tolist() for a in arrays))))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.write(row * len(arrays[0]) % cells)
 
 
 def _tag(T: float) -> str:
@@ -340,7 +310,7 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
         seeds.append(seed)
         if mode == "paths":
             out = os.path.join(config.output_dir, _path_csv_name(T, rep))
-            save_path_csv(grid.times(), path.values, out)
+            _write_csv(out, {"t": grid.times(), "value": path.values})
         elif mode.startswith("stats"):
             values.append(path.values)
         if mode == "stats+est":
@@ -424,27 +394,23 @@ def _collect(
 
 
 def _write_stats_csv(config: ExperimentConfig, T: float, cols: dict[str, np.ndarray]) -> None:
-    keys = ("replication", "seed", "S", "I", "J", "K", "w")
-    _write_csv(
-        os.path.join(config.output_dir, f"stats_T{_tag(T)}.csv"),
-        ["replication", "seed", "S_T", "I_T", "J_T", "K_T", "w_T"],
-        zip(*(cols[key].tolist() for key in keys)),
-    )
+    columns = {"replication": cols["replication"], "seed": cols["seed"]}
+    columns.update((f"{key}_T", cols[key]) for key in ("S", "I", "J", "K", "w"))
+    _write_csv(os.path.join(config.output_dir, f"stats_T{_tag(T)}.csv"), columns)
 
 
 _ESTIMATES = "alpha_hat beta_hat alpha_tilde beta_tilde mu_hat kappa_hat gamma_hat H_hat".split()
 
 
-def _estimate_rows(T: float, cols: dict[str, np.ndarray]):
-    """estimates.csv rows of one horizon: replication, T, then _ESTIMATES."""
-    return zip(
-        cols["replication"].tolist(), itertools.repeat(T), *(cols[k].tolist() for k in _ESTIMATES)
-    )
+def _estimate_columns(T: float, cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """estimates.csv columns of one horizon: replication, T, then _ESTIMATES."""
+    rep = cols["replication"]
+    return {"replication": rep, "T": np.full(rep.size, T), **{k: cols[k] for k in _ESTIMATES}}
 
 
-def _write_estimates_csv(config: ExperimentConfig, rows: list) -> None:
-    path = os.path.join(config.output_dir, "estimates.csv")
-    _write_csv(path, ["replication", "T", *_ESTIMATES], rows)
+def _write_estimates_csv(config: ExperimentConfig, per_horizon: list[dict]) -> None:
+    columns = {key: np.concatenate([c[key] for c in per_horizon]) for key in per_horizon[0]}
+    _write_csv(os.path.join(config.output_dir, "estimates.csv"), columns)
 
 
 def _ks_check(report: TestReport, T: float, name: str, sample, law, gates: bool) -> None:
@@ -453,11 +419,9 @@ def _ks_check(report: TestReport, T: float, name: str, sample, law, gates: bool)
 
 
 def _write_checks_csv(config: ExperimentConfig, report: TestReport) -> None:
-    _write_csv(
-        os.path.join(config.output_dir, "checks.csv"),
-        ["T", "statistic", "ks_stat", "ks_p", "n_reps"],
-        [[r.T, r.statistic, r.ks_stat, r.ks_p, r.n_reps] for r in report.rows],
-    )
+    keys = ("T", "statistic", "ks_stat", "ks_p", "n_reps")
+    columns = {key: [getattr(r, key) for r in report.rows] for key in keys}
+    _write_csv(os.path.join(config.output_dir, "checks.csv"), columns)
 
 
 def run_experiment(config: ExperimentConfig) -> TestReport:
@@ -480,10 +444,10 @@ def run_experiment(config: ExperimentConfig) -> TestReport:
         details={"failed": []},
     )
     runners[config.experiment](config, report)
-    payload = _jsonable(report.to_dict())
+    payload = dataclasses.asdict(report)
     payload["config"] = config.to_dict()
     with open(os.path.join(config.output_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_scalar)
         fh.write("\n")
     return report
 
@@ -510,17 +474,17 @@ def _run_simulate(config: ExperimentConfig, report: TestReport) -> None:
 def _run_estimate(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     truth = (p.alpha, p.beta, p.alpha, p.beta, p.mean_level, p.beta, p.gamma, p.hurst)
-    estimate_rows: list = []
+    estimates: list[dict] = []
     medians: dict[str, dict[str, float]] = {}
     for T in config.T_list:
         cols = _collect(config, report, "stats+est", T)
         _write_stats_csv(config, T, cols)
-        estimate_rows.extend(_estimate_rows(T, cols))
+        estimates.append(_estimate_columns(T, cols))
         medians[_tag(T)] = {
             key: float(np.nanmedian(np.abs(cols[key] - value)))
             for key, value in zip(_ESTIMATES, truth)
         }
-    _write_estimates_csv(config, estimate_rows)
+    _write_estimates_csv(config, estimates)
     report.details["median_abs_error"] = medians
     _insufficient(config, report)
 
@@ -581,13 +545,13 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     t_max = max(config.T_list)
     insufficient = _insufficient(config, report)
-    estimate_rows: list = []
+    estimates: list[dict] = []
     independence: dict[str, float] = {}
     drift_gap: dict[str, float] = {}
     for T in config.T_list:
         cols = _collect(config, report, "stats+est", T)
         _write_stats_csv(config, T, cols)
-        estimate_rows.extend(_estimate_rows(T, cols))
+        estimates.append(_estimate_columns(T, cols))
         if insufficient:
             continue
         for name, sample, law in _limit_statistics(p, T, cols):
@@ -605,7 +569,7 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
         drift_gap[_tag(T)] = float(np.median(ratio)) - p.alpha / p.gamma
 
     _write_checks_csv(config, report)
-    _write_estimates_csv(config, estimate_rows)
+    _write_estimates_csv(config, estimates)
     report.details["spearman_alpha_beta"] = independence
     report.details["drift_ratio_median_gap"] = drift_gap
     ks_pass = all(r.ks_p > config.p_threshold for r in report.rows if r.gates)
@@ -630,6 +594,14 @@ def _bootstrap_se(exponents: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.std(estimates, ddof=1))
 
 
+def _write_mgf_csv(config: ExperimentConfig, points: list[dict]) -> None:
+    """mgf.csv: one row per probe point that has a closed form (failed points are skipped)."""
+    header = {"xi1": "xi1", "xi2": "xi2", "log_m1_closed": "closed", "log_m1_mc": "mc", "se": "se"}
+    ok = [point for point in points if "closed" in point]
+    columns = {name: [point[key] for point in ok] for name, key in header.items()}
+    _write_csv(os.path.join(config.output_dir, "mgf.csv"), columns)
+
+
 def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
     p = config.params
     T = config.T_list[0]
@@ -638,18 +610,13 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
     cols = _collect(config, report, "stats", T)
     _write_stats_csv(config, T, cols)
     if _insufficient(config, report):
-        _write_csv(
-            os.path.join(config.output_dir, "mgf.csv"),
-            ["xi1", "xi2", "log_m1_closed", "log_m1_mc", "se"],
-            [],
-        )
+        _write_mgf_csv(config, [])
         return
 
     s_vals, i_vals, j_vals, k_vals = cols["S"], cols["I"], cols["J"], cols["K"]
     n = s_vals.size
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, 2**32]))
 
-    csv_rows: list[list] = []
     point_results = []
     worst_z = 0.0
     reduction_worst = 0.0
@@ -671,15 +638,10 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
         se = _bootstrap_se(exponents, rng)
         z = (closed - mc) / se if se > 0.0 else math.inf
         worst_z = max(worst_z, abs(z))
-        csv_rows.append([xi1, xi2, closed, mc, se])
         point_results.append(
             {"xi1": xi1, "xi2": xi2, "closed": closed, "mc": mc, "se": se, "z": z}
         )
-    _write_csv(
-        os.path.join(config.output_dir, "mgf.csv"),
-        ["xi1", "xi2", "log_m1_closed", "log_m1_mc", "se"],
-        csv_rows,
-    )
+    _write_mgf_csv(config, point_results)
 
     t1, t2, t3, t4 = _MGF2_POINT
     try:
@@ -722,8 +684,8 @@ def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
     for gamma in _GAMMA_TARGETS:
         settings.append(("gamma", gamma, dataclasses.replace(p, gamma=gamma)))
 
-    csv_rows: list[list] = []
     outcomes: dict[str, float] = {}
+    n_reps: list[int] = []
     for kind, target, params in settings:
         setting = f"{kind}={target:g}"
         cols = _collect(config, report, "recover", T, params=params, setting=setting)
@@ -731,14 +693,11 @@ def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
             errors = np.abs(cols["H_hat"] - target)
         else:
             errors = np.abs(cols["gamma_hat"] - target) / target
-        median_error = float(np.median(errors))
-        outcomes[setting] = median_error
-        csv_rows.append([kind, target, median_error, errors.size])
-    _write_csv(
-        os.path.join(config.output_dir, "recovery.csv"),
-        ["parameter", "target", "median_error", "n_reps"],
-        csv_rows,
-    )
+        outcomes[setting] = float(np.median(errors))
+        n_reps.append(errors.size)
+    kinds, targets, _ = zip(*settings)
+    columns = {"parameter": kinds, "target": targets, "median_error": list(outcomes.values())}
+    _write_csv(os.path.join(config.output_dir, "recovery.csv"), dict(columns, n_reps=n_reps))
     report.details["median_errors"] = outcomes
     report.details["gate"] = _RECOVERY_GATE
     report.passed = all(err < _RECOVERY_GATE for err in outcomes.values())

@@ -207,8 +207,14 @@ class PanelEngine:
             self._fft_len = sfft.next_fast_len(2 * n - 1)
             self._kernel_spectrum = sfft.rfft(m_pow, self._fft_len)
 
-    def _apply(self, cells: np.ndarray) -> np.ndarray:
-        """Row sums of the weights against per-cell data, one row per path."""
+    def transform(self, cells: np.ndarray) -> np.ndarray:
+        """Row sums of the weights against per-cell data, one row per path.
+
+        `cells` holds n values per path (increments for Z, midpoint values
+        for F); the result has one column per inner time after t = 0.
+        """
+        if cells.shape[-1] != self.grid.n:
+            raise ValueError(f"expected {self.grid.n} cells per path, got {cells.shape[-1]}")
         if self._weights is not None:
             return cells @ self._weights.T
         spectrum = sfft.rfft(cells * self._m_pow, self._fft_len, axis=1)
@@ -225,15 +231,13 @@ class PanelEngine:
         F is the ds transform of the path itself.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[1] != self.grid.n + 1:
-            raise ValueError("path length does not match the engine grid")
         dx = np.diff(values, axis=1)
         xmid = 0.5 * (values[:, 1:] + values[:, :-1]) * self.grid.dt
         r = values.shape[0]
         z = np.zeros((r, self.n_inner + 1))
         f = np.zeros((r, self.n_inner + 1))
-        z[:, 1:] = self._apply(dx)
-        f[:, 1:] = self._apply(xmid)
+        z[:, 1:] = self.transform(dx)
+        f[:, 1:] = self.transform(xmid)
         return z, f
 
     def derivative_panel(self, f: np.ndarray, gamma: float) -> np.ndarray:

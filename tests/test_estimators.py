@@ -236,6 +236,20 @@ def test_gamma_recovery_on_model_path():
     assert abs(got - 2.0) / 2.0 < 0.05
 
 
+def test_gamma_recovery_reads_z_alone():
+    # estimate_gamma transforms only the increments (Z); it must equal the
+    # quadratic variation read from the full statistics pass, bit for bit.
+    # The partition is n/16 blocks up to 2048, i.e. stride 16 and 32 here.
+    for n, stride in ((2**12, 16), (2**16, 32)):
+        grid = SampleGrid(horizon=2.0, n=n)
+        path = simulate_exact(DESK, grid, seed=600_030)
+        engine = shared_engine(grid, DESK.hurst, stride=stride)
+        out = engine.statistics(path.values, 1.0)
+        assert estimate_gamma(path, DESK.hurst) == math.sqrt(out["qv"][0] / out["w"])
+        with pytest.raises(ValueError, match="cells"):
+            engine.transform(np.diff(path.values)[None, 1:])
+
+
 def test_gamma_recovery_input_validation():
     small = SampleGrid(horizon=1.0, n=2**10)
     driver = generate_fbm(0.7, small, seed=600_020)

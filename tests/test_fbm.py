@@ -1,7 +1,5 @@
 """Circulant-embedding fBm generator vs. the dense-covariance oracle."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -123,12 +121,16 @@ def test_embedding_negative_eigenvalue_policy(monkeypatch):
     fbm._EIG_CACHE.clear()
 
 
-def test_csv_roundtrip_17_digits():
+
+def test_csv_roundtrip_17_digits(tmp_path):
+    # fBm paths are written through the harness's one CSV writer
+    from fracvas.harness import _write_csv
+
     grid = fbm.SampleGrid(horizon=1.0, n=16)
     path = fbm.generate_fbm(0.7, grid, seed=3)
-    buf = io.StringIO()
-    fbm.save_path_csv(grid.times(), path.values, buf)
-    lines = buf.getvalue().strip().split("\n")
+    out = tmp_path / "path.csv"
+    _write_csv(str(out), {"t": grid.times(), "value": path.values})
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,value"
     parsed = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
     # 17 significant digits must round-trip doubles exactly

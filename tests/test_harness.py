@@ -89,6 +89,17 @@ def test_config_validation(tmp_path):
         )
 
 
+def test_config_refuses_misread_horizons(tmp_path):
+    # a JSON string would be read character by character as T = 1, 2
+    with pytest.raises(ValueError, match="not the string"):
+        _config(tmp_path, T_list="12")
+    # horizons equal at 6 significant digits would share one stats_T*.csv
+    with pytest.raises(ValueError, match="file tags"):
+        _config(tmp_path, T_list=[1.0000001, 1.0000002])
+    with pytest.raises(ValueError, match="file tags"):
+        _config(tmp_path, T_list=[3, 3])
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = _config(tmp_path)
     path = tmp_path / "cfg.json"
@@ -209,15 +220,19 @@ def test_simulate_writes_paths(tmp_path):
     cfg = _config(tmp_path, experiment="simulate", T_list=[1.0], n_grid=64, replications=2)
     report = run_experiment(cfg)
     assert report.passed
+    grid = SampleGrid(horizon=1.0, n=64)
     for rep in range(2):
         lines = (
             (tmp_path / "out" / f"path_T1_rep{rep:05d}.csv").read_text().strip().splitlines()
         )
         assert lines[0] == "t,value"
         assert len(lines) == 66  # header + 65 grid nodes
-        t0, v0 = lines[1].split(",")
-        assert float(t0) == 0.0
-        assert float(v0) == DESK_PARAMS["x0"]
+        parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        # 17 significant digits round-trip every double exactly
+        expected = simulate_exact(ModelParams(**DESK_PARAMS), grid, seed=replication_seed(7, rep))
+        assert np.array_equal(parsed[:, 0], grid.times())
+        assert np.array_equal(parsed[:, 1], expected.values)
+        assert parsed[0, 1] == DESK_PARAMS["x0"]
     seeds = report.details["path_seeds"]["1"]
     assert seeds["path_T1_rep00000.csv"] == replication_seed(7, 0)
 

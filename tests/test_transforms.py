@@ -103,6 +103,19 @@ def test_linear_path_closed_forms(monkeypatch):
         assert np.median(err_p[1:-1]) < 1e-4
 
 
+def test_stride_one_first_row_is_exact_beta_value(monkeypatch):
+    # With stride 1 the first output time covers one cell holding both
+    # singular ends; on X_t = t that row is S_dt = w(dt) in closed form,
+    # independent of the Beta-function value the engine folds into it.
+    grid = SampleGrid(horizon=1.0, n=64)
+    for hurst in (0.55, 0.7, 0.95):
+        w_dt = constants(hurst, 1.0).w(grid.dt)
+        for dense_cells in (transforms._MAX_DENSE_CELLS, 1):
+            monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
+            Z, _ = PanelEngine(grid, hurst, stride=1).raw_panels(grid.times())
+            assert abs(Z[0, 1] - w_dt) < 1e-12
+
+
 def test_constant_path_closed_forms():
     # X = c: S = 0, I = 0, J = c w(T)/gamma, K = c^2 w(T)/gamma^2
     grid = SampleGrid(horizon=5.0, n=2**13)
