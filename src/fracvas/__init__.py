@@ -40,8 +40,6 @@ from .limits import (
     zeta_law,
 )
 from .mgf import (
-    Mgf1Input,
-    Mgf2Input,
     MgfDomainError,
     mgf1_domain_boundary,
     mgf1_log,
@@ -64,8 +62,6 @@ __all__ = [
     "DriftEstimate",
     "ExperimentConfig",
     "FbmPath",
-    "Mgf1Input",
-    "Mgf2Input",
     "MgfDomainError",
     "ModelParams",
     "NormalLaw",

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -64,8 +65,8 @@ from .limits import (
     ratio_cdf,
     special_case_ratio,
 )
-from .mgf import Mgf1Input, Mgf2Input, mgf1_log, mgf2_log
-from .model import ModelParams, simulate_exact
+from .mgf import mgf1_log, mgf2_log
+from .model import ModelParams, _is_finite_real, simulate_exact
 from .transforms import SufficientStats, constants, shared_engine
 
 EXPERIMENTS = (
@@ -123,17 +124,24 @@ class ExperimentConfig:
             )
         if isinstance(self.T_list, str):
             raise ValueError(f"T_list must be a list of horizons, not the string {self.T_list!r}")
-        t_list = tuple(float(t) for t in self.T_list)
-        object.__setattr__(self, "T_list", t_list)
+        if not np.iterable(self.T_list):
+            raise ValueError(f"T_list must be a list of horizons, got {self.T_list!r}")
+        t_list = tuple(self.T_list)
         if not t_list:
             raise ValueError("T_list must be nonempty")
-        if any(not t > 0.0 for t in t_list):
-            raise ValueError(f"all horizons must be positive, got {t_list!r}")
+        if not all(_is_finite_real(t) and t > 0.0 for t in t_list):
+            raise ValueError(f"T_list horizons must be finite and positive, got {t_list!r}")
+        t_list = tuple(float(t) for t in t_list)
+        object.__setattr__(self, "T_list", t_list)
         tags = [_tag(t) for t in t_list]
         if len(set(tags)) < len(tags):
             raise ValueError(
                 f"horizons must differ in their 6-significant-digit file tags, got {tags!r}"
             )
+        for name in ("n_grid", "replications", "master_seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.n_grid
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"n_grid must be a power of two >= 4, got {n!r}")
@@ -143,7 +151,7 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers!r}")
-        if not 0.0 < self.p_threshold < 1.0:
+        if not (_is_finite_real(self.p_threshold) and 0.0 < self.p_threshold < 1.0):
             raise ValueError(f"p_threshold must lie in (0, 1), got {self.p_threshold!r}")
         if self.experiment in ("limit-check", "mgf-check") and not self.params.beta < 0.0:
             raise ValueError(f"{self.experiment} requires beta < 0")
@@ -584,14 +592,21 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
     report.passed = ks_pass and indep_pass and drift_pass
 
 
-def _bootstrap_se(exponents: np.ndarray, rng: np.random.Generator) -> float:
-    """Bootstrap standard error of log mean(exp(x)) by multinomial reweighting."""
+def _mc_point(closed: float, exponents: np.ndarray, rng: np.random.Generator) -> dict:
+    """A closed-form log MGF against the Monte Carlo log mean(exp(x)).
+
+    se is the bootstrap standard error of the Monte Carlo value, by
+    multinomial reweighting; z is the closed form's distance in units of se.
+    """
     n = exponents.size
+    mc = float(logsumexp(exponents) - math.log(n))
     estimates = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
         weights = rng.multinomial(n, np.full(n, 1.0 / n)) / n
         estimates[b] = logsumexp(exponents, b=weights)
-    return float(np.std(estimates, ddof=1))
+    se = float(np.std(estimates, ddof=1))
+    z = (closed - mc) / se if se > 0.0 else math.inf
+    return {"closed": closed, "mc": mc, "se": se, "z": z}
 
 
 def _write_mgf_csv(config: ExperimentConfig, points: list[dict]) -> None:
@@ -614,7 +629,6 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
         return
 
     s_vals, i_vals, j_vals, k_vals = cols["S"], cols["I"], cols["J"], cols["K"]
-    n = s_vals.size
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, 2**32]))
 
     point_results = []
@@ -622,10 +636,8 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
     reduction_worst = 0.0
     for xi1, xi2 in _MGF1_POINTS:
         try:
-            closed = mgf1_log(Mgf1Input(xi1=xi1, xi2=xi2, params=p, horizon=T))
-            reduced = mgf2_log(
-                Mgf2Input(theta1=xi1, theta2=xi2, theta3=0.0, theta4=0.0), p, T
-            )
+            closed = mgf1_log(xi1, xi2, p, T)
+            reduced = mgf2_log((xi1, xi2, 0.0, 0.0), p, T)
         except Exception as exc:  # noqa: BLE001 - out-of-domain at this horizon
             worst_z = math.inf
             point_results.append(
@@ -633,41 +645,26 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
             )
             continue
         reduction_worst = max(reduction_worst, abs(reduced - closed) / abs(closed))
-        exponents = xi1 * s_vals + xi2 * i_vals
-        mc = float(logsumexp(exponents) - math.log(n))
-        se = _bootstrap_se(exponents, rng)
-        z = (closed - mc) / se if se > 0.0 else math.inf
-        worst_z = max(worst_z, abs(z))
-        point_results.append(
-            {"xi1": xi1, "xi2": xi2, "closed": closed, "mc": mc, "se": se, "z": z}
-        )
+        point = _mc_point(closed, xi1 * s_vals + xi2 * i_vals, rng)
+        worst_z = max(worst_z, abs(point["z"]))
+        point_results.append({"xi1": xi1, "xi2": xi2, **point})
     _write_mgf_csv(config, point_results)
 
     t1, t2, t3, t4 = _MGF2_POINT
     try:
-        closed4 = mgf2_log(Mgf2Input(theta1=t1, theta2=t2, theta3=t3, theta4=t4), p, T)
-        exponents4 = t1 * s_vals + t2 * i_vals + t3 * j_vals + t4 * k_vals
-        mc4 = float(logsumexp(exponents4) - math.log(n))
-        se4 = _bootstrap_se(exponents4, rng)
-        z4 = (closed4 - mc4) / se4 if se4 > 0.0 else math.inf
+        closed4 = mgf2_log(_MGF2_POINT, p, T)
+        point4 = _mc_point(closed4, t1 * s_vals + t2 * i_vals + t3 * j_vals + t4 * k_vals, rng)
     except Exception as exc:  # noqa: BLE001
-        closed4 = mc4 = se4 = math.nan
-        z4 = math.inf
+        point4 = {"closed": math.nan, "mc": math.nan, "se": math.nan, "z": math.inf}
         report.notes.append(f"four-argument point failed: {type(exc).__name__}: {exc}")
 
     report.details["m1_points"] = point_results
     report.details["m1_worst_z"] = worst_z
     report.details["reduction_worst_rel"] = reduction_worst
-    report.details["m2_point"] = {
-        "theta": list(_MGF2_POINT),
-        "closed": closed4,
-        "mc": mc4,
-        "se": se4,
-        "z": z4,
-    }
+    report.details["m2_point"] = {"theta": list(_MGF2_POINT), **point4}
     report.details["gates"] = {
         "m1_within_3se": worst_z <= 3.0,
-        "m2_within_3se": abs(z4) <= 3.0,
+        "m2_within_3se": abs(point4["z"]) <= 3.0,
         "reduction_identity": reduction_worst <= 1e-12,
     }
     report.passed = all(report.details["gates"].values())

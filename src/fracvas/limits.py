@@ -248,9 +248,7 @@ def sample_limit(law, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be positive, got {count!r}")
     rng = np.random.default_rng(np.random.SeedSequence([0x4C494D, int(seed)]))
-    if isinstance(law, NormalLaw):
-        return law.mean + law.std * rng.standard_normal(count)
-    if isinstance(law, ZetaLaw):
+    if isinstance(law, (NormalLaw, ZetaLaw)):
         return law.mean + law.std * rng.standard_normal(count)
     if isinstance(law, RatioLaw):
         eta = rng.standard_normal(count)

@@ -14,8 +14,9 @@ first-order scheme on the same driver, kept as a coupling oracle for tests.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,11 @@ from .fbm import FbmPath, SampleGrid, generate_fbm
 __all__ = ["ModelParams", "VasicekPath", "simulate_exact", "simulate_euler"]
 
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)  # exp overflows past this
+
+
+def _is_finite_real(value: object) -> bool:
+    """A finite real number; bools, strings and None are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,10 @@ class ModelParams:
     x0: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_finite_real(value):
+                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if not 0.5 < self.hurst < 1.0:

@@ -36,8 +36,6 @@ from fracvas import specfun
 from fracvas.harness import ExperimentConfig, law_cdf, run_experiment
 from fracvas.limits import NormalLaw
 from fracvas.mgf import (
-    Mgf1Input,
-    Mgf2Input,
     mgf1_log,
     mgf2_log,
     mgf_product_bivariate,
@@ -140,7 +138,7 @@ def test_mgf_matches_frozen_monte_carlo():
     worst = 0.0
     for (xi1, xi2), (mc, se) in _anchors.M1_POINTS.items():
         assert max(abs(xi1), abs(xi2)) <= 0.2
-        closed = mgf1_log(Mgf1Input(xi1=xi1, xi2=xi2, params=DESK, horizon=_anchors.HORIZON))
+        closed = mgf1_log(xi1, xi2, DESK, _anchors.HORIZON)
         worst = max(worst, abs(closed - mc) / se)
     ok = worst <= 3.0
     _line("A02", f"closed-form log MGF vs {len(_anchors.M1_POINTS)} frozen MC points",
@@ -151,11 +149,11 @@ def test_mgf_matches_frozen_monte_carlo():
 def test_quadruple_mgf_reduction_and_monte_carlo():
     worst_gap = 0.0
     for xi1, xi2 in _anchors.M1_POINTS:
-        reduced = mgf2_log(Mgf2Input(xi1, xi2, 0.0, 0.0), DESK, _anchors.HORIZON)
-        direct = mgf1_log(Mgf1Input(xi1=xi1, xi2=xi2, params=DESK, horizon=_anchors.HORIZON))
+        reduced = mgf2_log((xi1, xi2, 0.0, 0.0), DESK, _anchors.HORIZON)
+        direct = mgf1_log(xi1, xi2, DESK, _anchors.HORIZON)
         worst_gap = max(worst_gap, abs(reduced - direct))
     theta, (mc, se) = _anchors.M2_POINT
-    closed = mgf2_log(Mgf2Input(*theta), DESK, _anchors.HORIZON)
+    closed = mgf2_log(theta, DESK, _anchors.HORIZON)
     z = abs(closed - mc) / se
     ok = worst_gap <= 1e-12 and z <= 3.0
     _line("A03", "4-argument MGF: 2-argument reduction and frozen MC point",

@@ -100,6 +100,30 @@ def test_config_refuses_misread_horizons(tmp_path):
         _config(tmp_path, T_list=[3, 3])
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("replications", {"replications": 2.5}),
+        ("replications", {"replications": True}),
+        ("workers", {"workers": 1.5}),
+        ("master_seed", {"master_seed": 1.5}),
+        ("n_grid", {"n_grid": "64"}),
+        ("n_grid", {"n_grid": 64.0}),
+        ("T_list", {"T_list": [math.inf]}),
+        ("T_list", {"T_list": 5}),
+        ("p_threshold", {"p_threshold": "0.01"}),
+        ("alpha", {"params": dict(DESK_PARAMS, alpha="1")}),
+        ("alpha", {"params": dict(DESK_PARAMS, alpha=math.nan)}),
+        ("x0", {"params": dict(DESK_PARAMS, x0=math.inf)}),
+        ("x0", {"params": dict(DESK_PARAMS, x0=None)}),
+    ],
+)
+def test_config_refuses_mistyped_fields(tmp_path, field, overrides):
+    with pytest.raises(ValueError, match=field):
+        _config(tmp_path, **overrides)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = _config(tmp_path)
     path = tmp_path / "cfg.json"
@@ -437,3 +461,29 @@ def test_mgf_check_small_sample(tmp_path):
     mgf_lines = (tmp_path / "out" / "mgf.csv").read_text().strip().splitlines()
     assert mgf_lines[0] == "xi1,xi2,log_m1_closed,log_m1_mc,se"
     assert len(mgf_lines) == 7
+
+
+def test_mgf_check_reports_points_outside_the_domain(tmp_path):
+    # at T = 12 the domain boundary in xi2 is about 5e-6, so the two probes
+    # with xi2 = 0.05 have no closed form and the run fails
+    cfg = _config(
+        tmp_path,
+        experiment="mgf-check",
+        T_list=[12.0],
+        n_grid=1024,
+        replications=40,
+        master_seed=5,
+    )
+    report = run_experiment(cfg)
+    points = {(p["xi1"], p["xi2"]): p for p in report.details["m1_points"]}
+    outside = {(-0.15, 0.05), (0.0, 0.05)}
+    for key, point in points.items():
+        if key in outside:
+            assert point["error"].startswith("MgfDomainError")
+        else:
+            assert {"closed", "mc", "se", "z"} <= set(point)
+    assert len(points) == 6
+    assert report.details["m1_worst_z"] == math.inf
+    assert not report.passed
+    mgf_lines = (tmp_path / "out" / "mgf.csv").read_text().strip().splitlines()
+    assert len(mgf_lines) == 1 + 4

@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from fracvas.mgf import (
-    Mgf1Input,
-    Mgf1Parts,
-    Mgf2Input,
     MgfDomainError,
+    _coefficients,
+    _derived_drift,
     mgf1_D,
     mgf1_domain_boundary,
     mgf1_log,
-    mgf1_parts,
     mgf2_log,
     mgf_product_bivariate,
     mgf_quadratic_pair,
@@ -33,7 +31,7 @@ T_DESK = 2.0
 
 
 def m1_log(xi1, xi2, params=DESK, horizon=T_DESK):
-    return mgf1_log(Mgf1Input(xi1=xi1, xi2=xi2, params=params, horizon=horizon))
+    return mgf1_log(xi1, xi2, params, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -107,61 +105,42 @@ def _oracle_extrapolated(t1, t2, t3, t4, params=DESK, horizon=T_DESK, k1=800, k2
 
 def test_trivial_values():
     assert m1_log(0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert mgf2_log(Mgf2Input(0.0, 0.0, 0.0, 0.0), DESK, T_DESK) == pytest.approx(0.0, abs=1e-14)
+    assert mgf2_log((0.0, 0.0, 0.0, 0.0), DESK, T_DESK) == pytest.approx(0.0, abs=1e-14)
     assert mgf1_D(0.0, DESK, T_DESK) == pytest.approx(1.0, abs=1e-14)
     assert mgf_product_bivariate(0.0, 0.4, -0.2, 1.1, 0.7, 0.3) == pytest.approx(1.0)
     assert mgf_quadratic_pair(0.0, 0.0, 0.5, 1.2) == pytest.approx(1.0)
 
 
 def test_start_level_at_the_mean_kills_offset_terms():
-    # x0 = alpha/beta zeroes every coefficient that carries the offset
+    # x0 = alpha/beta zeroes every coefficient that carries the offset, and
+    # with it the blocks A1, A3 and A4
     params = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=-2.0)
     assert params.x0 == pytest.approx(params.mean_level)
-    inp = Mgf1Input(xi1=0.1, xi2=-0.05, params=params, horizon=T_DESK)
-    parts = mgf1_parts(inp)
-    c1, c2, c3, c4, c5, c6 = parts.c
+    c1, c2, c3, c4, c5, c6 = _coefficients(params)
     assert (c1, c2, c4, c5, c6) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert c3 > 0.0
-    assert parts.A1[0] == 0.0
-    assert parts.A3[0] == 0.0
-    assert parts.A4[0] == 0.0
-    # the remaining block is purely quadratic in the folded linear argument,
-    # so choosing xi1 = -xi2 x0 / gamma removes it as well
+    # the remaining block A2 is purely quadratic in the folded linear
+    # argument, so choosing xi1 = -xi2 x0 / gamma removes it as well
     xi2 = -0.05
-    folded_zero = Mgf1Input(
-        xi1=-xi2 * params.x0 / params.gamma, xi2=xi2, params=params, horizon=T_DESK
-    )
-    zero_parts = mgf1_parts(folded_zero)
-    assert zero_parts.A2[0] == 0.0
-    sign_d, log_d = zero_parts.D
-    expected = -0.5 * log_d - xi2 * T_DESK / 2.0
-    assert mgf1_log(folded_zero) == pytest.approx(expected, abs=1e-14)
-
-
-def test_parts_invariants_rejected():
-    good = mgf1_parts(Mgf1Input(xi1=0.1, xi2=-0.05, params=DESK, horizon=T_DESK))
-    with pytest.raises(ValueError):
-        Mgf1Parts(
-            D=good.D, A1=good.A1, A2=good.A2, A3=good.A3, A4=good.A4,
-            c=(good.c[0], good.c[1], -1.0, good.c[3], good.c[4], good.c[5]),
-            lam_star=good.lam_star, rho=good.rho,
-        )
-    with pytest.raises(ValueError):
-        Mgf1Parts(
-            D=good.D, A1=good.A1, A2=good.A2, A3=good.A3, A4=good.A4,
-            c=(good.c[0], -0.1, good.c[2], good.c[3], good.c[4], good.c[5]),
-            lam_star=good.lam_star, rho=good.rho,
-        )
+    expected = -0.5 * math.log(mgf1_D(xi2, params, T_DESK)) - xi2 * T_DESK / 2.0
+    folded_zero = -xi2 * params.x0 / params.gamma
+    assert m1_log(folded_zero, xi2, params) == pytest.approx(expected, abs=1e-14)
 
 
 def test_rejects_mean_reverting_drift_and_bad_horizon():
     up = ModelParams(alpha=1.0, beta=0.4, gamma=1.0, hurst=0.7, x0=0.3)
     with pytest.raises(MgfDomainError):
-        Mgf1Input(xi1=0.0, xi2=0.0, params=up, horizon=T_DESK)
+        mgf1_log(0.0, 0.0, up, T_DESK)
     with pytest.raises(MgfDomainError):
-        Mgf2Input(0.0, 0.0, 0.0, 0.0).derived_drift(up)
+        mgf1_D(0.0, up, T_DESK)
+    with pytest.raises(MgfDomainError):
+        mgf2_log((0.0, 0.0, 0.0, 0.0), up, T_DESK)
+    with pytest.raises(MgfDomainError):
+        mgf1_domain_boundary(up, T_DESK)
     with pytest.raises(ValueError):
-        Mgf1Input(xi1=0.0, xi2=0.0, params=DESK, horizon=0.0)
+        mgf1_log(0.0, 0.0, DESK, 0.0)
+    with pytest.raises(ValueError):
+        mgf2_log((0.0, 0.0, 0.0, 0.0), DESK, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +179,7 @@ def test_closed_form_matches_quadrature_oracle():
         oracle = _oracle_extrapolated(xi1, xi2, 0.0, 0.0)
         assert m1_log(xi1, xi2) == pytest.approx(oracle, abs=1e-3)
     oracle = _oracle_extrapolated(0.05, 0.0, 0.05, -0.1)
-    closed = mgf2_log(Mgf2Input(0.05, 0.0, 0.05, -0.1), DESK, T_DESK)
+    closed = mgf2_log((0.05, 0.0, 0.05, -0.1), DESK, T_DESK)
     assert closed == pytest.approx(oracle, abs=1e-3)
 
 
@@ -209,7 +188,7 @@ def test_matches_frozen_simulation_anchors():
         closed = m1_log(xi1, xi2)
         assert abs(closed - mc) <= 3.0 * se, (xi1, xi2, closed, mc, se)
     theta, (mc, se) = _anchors.M2_POINT
-    closed = mgf2_log(Mgf2Input(*theta), DESK, _anchors.HORIZON)
+    closed = mgf2_log(theta, DESK, _anchors.HORIZON)
     assert abs(closed - mc) <= 3.0 * se
 
 
@@ -232,7 +211,7 @@ def test_frozen_regression_values():
     }
     for (xi1, xi2), value in expected.items():
         assert m1_log(xi1, xi2) == pytest.approx(value, abs=1e-8)
-    assert mgf2_log(Mgf2Input(0.05, 0.0, 0.05, -0.1), DESK, T_DESK) == pytest.approx(
+    assert mgf2_log((0.05, 0.0, 0.05, -0.1), DESK, T_DESK) == pytest.approx(
         -0.7065767267, abs=1e-8
     )
 
@@ -245,14 +224,14 @@ def test_frozen_regression_values():
 def test_reduction_identity_exact():
     for th1 in (-0.2, 0.0, 0.15):
         for th2 in (-0.15, -0.05, 0.05):
-            full = mgf2_log(Mgf2Input(th1, th2, 0.0, 0.0), DESK, T_DESK)
+            full = mgf2_log((th1, th2, 0.0, 0.0), DESK, T_DESK)
             assert full == pytest.approx(m1_log(th1, th2), abs=1e-12)
 
 
 def test_quadratic_tilt_gate():
     with pytest.raises(MgfDomainError):
-        Mgf2Input(0.0, 0.0, 0.0, DESK.beta**2 / 2.0).derived_drift(DESK)
-    alpha1, beta1 = Mgf2Input(0.0, 0.0, 0.0, -0.1).derived_drift(DESK)
+        _derived_drift(0.0, DESK.beta**2 / 2.0, DESK)
+    alpha1, beta1 = _derived_drift(0.0, -0.1, DESK)
     assert beta1 < DESK.beta  # extra quadratic penalty steepens the drift
     assert math.isfinite(alpha1)
 
@@ -285,7 +264,7 @@ def _scaled_limit_probe(params, th1, th2, th3, horizon):
     u = th1 * horizon ** (params.hurst - 1.0)
     v = th2 * math.exp(beta * horizon)
     z = th3 * math.exp(2.0 * beta * horizon)
-    tilt = Mgf2Input(u, v, beta * u - v * params.alpha / params.gamma, beta * v + z)
+    tilt = (u, v, beta * u - v * params.alpha / params.gamma, beta * v + z)
     return mgf2_log(tilt, params, horizon) - u * (params.alpha / params.gamma) * kc.w(horizon)
 
 
@@ -349,10 +328,6 @@ def test_finite_out_to_horizon_thirty():
     expected = {5.0: -2.17588763, 10.0: -4.92987871, 20.0: -9.71218704, 30.0: -14.46428219}
     for horizon, value in expected.items():
         assert m1_log(0.1, -0.05, DESK, horizon) == pytest.approx(value, abs=1e-6)
-    parts = mgf1_parts(Mgf1Input(xi1=0.1, xi2=-0.05, params=DESK, horizon=30.0))
-    for sign, log_abs in (parts.D, parts.A1, parts.A2, parts.A3, parts.A4):
-        assert sign != 0.0
-        assert math.isfinite(log_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +343,14 @@ def test_domain_boundary_bisection():
     assert math.isfinite(m1_log(0.0, 0.999 * boundary))
     with pytest.raises(MgfDomainError):
         m1_log(0.0, 1.001 * boundary)
+
+
+@pytest.mark.parametrize("horizon", [18.0, 24.0, 30.0])
+def test_domain_boundary_relative_accuracy_at_long_horizons(horizon):
+    # the boundary shrinks like e^{beta T} and falls far below 1, where an
+    # absolute stopping width would swamp it
+    boundary = mgf1_domain_boundary(DESK, horizon)
+    assert mgf1_D(0.999 * boundary, DESK, horizon) > 0.0 > mgf1_D(1.001 * boundary, DESK, horizon)
 
 
 def test_domain_boundary_matches_oracle_divergence():
