@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import SufficientStats, shared_engine
+from .transforms import SufficientStats, quadratic_variation, shared_engine
 
-_QV_MAX_BLOCKS = 2048
 _MIN_RECOVERY_N = 4096
 
 _VARIANTS = ("joint", "alpha-only", "beta-only", "mu-kappa")
@@ -150,21 +149,18 @@ def estimate_gamma(path, hurst: float) -> float:
     """Recover the noise scale from the quadratic variation of Z.
 
     Z is the kernel transform of the path (gamma times the S panel); its
-    squared increments over any refining partition sum to gamma^2 w(T).
-    The partition size is capped so the weight panel stays affordable at
-    large n; the estimate is unbiased at any partition because Z has
-    independent Gaussian increments.  Only Z is computed, by one
-    `PanelEngine.transform` of the path increments (no F, P, I or K).
+    squared increments over any refining partition sum to gamma^2 w(T),
+    unbiased at any partition since Z has independent Gaussian increments.
+    Z alone (no F, P, I or K) comes from one `PanelEngine.transform` on the
+    engine the drift statistics use, `shared_engine(grid, hurst)`, and
+    `quadratic_variation` applies the partition `statistics` uses.
     """
     values, grid = _path_arrays(path)
     if grid.n < _MIN_RECOVERY_N:
         raise ValueError(f"noise recovery needs n >= {_MIN_RECOVERY_N}, got {grid.n}")
-    blocks = min(grid.n // 16, _QV_MAX_BLOCKS)
-    if grid.n % blocks:
-        raise ValueError(f"n = {grid.n} not divisible by the {blocks}-block partition")
-    engine = shared_engine(grid, hurst, stride=grid.n // blocks)
-    z = engine.transform(np.diff(values)[None, :])
-    variation = float(np.sum(np.diff(z, axis=1, prepend=0.0) ** 2, axis=1)[0])
+    engine = shared_engine(grid, hurst)
+    z = np.pad(engine.transform(np.diff(values)[None, :]), ((0, 0), (1, 0)))
+    variation = float(quadratic_variation(z)[0])
     if not variation > 0.0:
         raise DegenerateStatsError("flat path: zero quadratic variation")
     return math.sqrt(variation / float(engine.w_inner[-1]))

@@ -4,9 +4,10 @@ The production generator uses circulant embedding of the stationary increment
 process (Davies-Harte): the 2n-point circulant built from the fractional
 Gaussian noise autocovariance is diagonalized by the FFT, nonnegative
 eigenvalues are required (tiny negative values from rounding are clipped),
-and one complex Gaussian draw per frequency synthesizes an exact sample in
-O(n log n).  A dense covariance square-root sampler is kept as an
-independent oracle for tests at small n.
+and their square roots are cached per (n, H).  One complex Gaussian draw
+per frequency of the half spectrum and one inverse real FFT synthesize an
+exact sample in O(n log n).  A dense covariance square-root sampler is kept
+as an independent oracle for tests at small n.
 
 Paths are pinned to value 0 at t = 0 and are exact in distribution at the
 grid times; unit-spacing noise is rescaled by dt^H (self-similarity).
@@ -14,6 +15,7 @@ grid times; unit-spacing noise is rescaled by dt^H (self-similarity).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,50 +92,37 @@ def _fgn_unit_autocov(n: int, hurst: float) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2) - k**h2
 
 
-_EIG_CACHE: dict[tuple[int, float], np.ndarray] = {}
-
-
-def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    key = (n, hurst)
-    eig = _EIG_CACHE.get(key)
-    if eig is None:
-        c = _fgn_unit_autocov(n, hurst)
-        row = np.concatenate([c, c[-2:0:-1]])  # circulant first row, length 2n
-        eig = np.fft.fft(row).real
-        floor = -_EIGENVALUE_CLIP_RTOL * eig.max()
-        if eig.min() < floor:
-            raise FbmEmbeddingError(
-                f"negative circulant eigenvalue {eig.min():.3e} at n={n}, H={hurst}"
-            )
-        eig = np.clip(eig, 0.0, None)
-        if len(_EIG_CACHE) > 16:
-            _EIG_CACHE.clear()
-        _EIG_CACHE[key] = eig
-    return eig
+@functools.lru_cache(maxsize=16)
+def _amplitudes(n: int, hurst: float) -> np.ndarray:
+    """Read-only irfft amplitudes of the 2n-point circulant embedding, bins 0..n:
+    sqrt(n eig_k) inside, sqrt(2n eig_k) at the unpaired bins k = 0 and n."""
+    c = _fgn_unit_autocov(n, hurst)
+    eig = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real  # circulant first row, length 2n
+    floor = -_EIGENVALUE_CLIP_RTOL * eig.max()
+    if eig.min() < floor:
+        raise FbmEmbeddingError(
+            f"negative circulant eigenvalue {eig.min():.3e} at n={n}, H={hurst}"
+        )
+    amp = np.sqrt(n * np.clip(eig, 0.0, None))
+    amp[[0, n]] *= np.sqrt(2.0)
+    amp.flags.writeable = False
+    return amp
 
 
 def generate_fbm(hurst: float, grid: SampleGrid, seed: int) -> FbmPath:
     """Sample one fBm path by circulant embedding; exact at the grid times."""
     _check_hurst(hurst)
     n = grid.n
-    eig = _embedding_eigenvalues(n, hurst)
-    m = 2 * n
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(m)
-    u, v = z[: n + 1], z[n + 1 :]
-
-    spectrum = np.zeros(m, dtype=complex)
-    spectrum[0] = np.sqrt(eig[0] / m) * u[0]
-    spectrum[n] = np.sqrt(eig[n] / m) * u[n]
-    half = np.sqrt(eig[1:n] / (2.0 * m)) * (u[1:n] + 1j * v)
-    spectrum[1:n] = half
-    spectrum[n + 1 :] = np.conj(half[::-1])
-
-    noise_unit = np.fft.fft(spectrum).real[:n]
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    np.cumsum(noise_unit, out=values[1:])
-    values[1:] *= grid.dt**hurst
+    amp = _amplitudes(n, hurst)
+    z = np.random.default_rng(seed).standard_normal(2 * n)
+    # filled in place: at n = 65536 each extra temporary is another 1 MiB
+    half = np.empty(n + 1, dtype=complex)
+    half.real = z[: n + 1]
+    half.imag[1:n] = -z[n + 1 :]
+    half.imag[[0, n]] = 0.0
+    half *= amp
+    noise_unit = np.fft.irfft(half, 2 * n)[:n]
+    values = np.concatenate([[0.0], np.cumsum(noise_unit) * grid.dt**hurst])
     return FbmPath(grid=grid, hurst=hurst, values=values)
 
 

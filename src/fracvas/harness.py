@@ -151,6 +151,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers!r}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ValueError(f"output_dir must be a nonempty path string, got {self.output_dir!r}")
         if not (_is_finite_real(self.p_threshold) and 0.0 < self.p_threshold < 1.0):
             raise ValueError(f"p_threshold must lie in (0, 1), got {self.p_threshold!r}")
         if self.experiment in ("limit-check", "mgf-check") and not self.params.beta < 0.0:
@@ -174,8 +176,9 @@ class ExperimentConfig:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         data = dict(payload)
         raw_params = data.pop("params")
-        if not isinstance(raw_params, dict):
-            raise ValueError("params must be an object with alpha, beta, gamma, hurst, x0")
+        keys = [f.name for f in dataclasses.fields(ModelParams)]
+        if not (isinstance(raw_params, dict) and set(raw_params) == set(keys)):
+            raise ValueError(f"params must be an object with the keys {keys}, got {raw_params!r}")
         params = ModelParams(**raw_params)
         return cls(params=params, **data)
 

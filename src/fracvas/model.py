@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .fbm import FbmPath, SampleGrid, generate_fbm
 
@@ -108,11 +109,7 @@ def simulate_exact(
     decay = np.exp(-beta * t)
 
     # G_i = int_0^{t_i} e^{beta s} B_s ds by cumulative trapezoid.
-    f = np.exp(beta * t) * noise
-    increments = 0.5 * grid.dt * (f[1:] + f[:-1])
-    g = np.empty_like(t)
-    g[0] = 0.0
-    np.cumsum(increments, out=g[1:])
+    g = cumulative_trapezoid(np.exp(beta * t) * noise, dx=grid.dt, initial=0.0)
 
     convolution = noise - beta * decay * g
     values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution

@@ -49,6 +49,7 @@ __all__ = [
     "shared_engine",
     "sufficient_stats",
     "martingale_M",
+    "quadratic_variation",
     "reconstruct_X",
     "refinement_check",
 ]
@@ -56,6 +57,7 @@ __all__ = [
 _DEFAULT_STRIDE = 16
 _END_RULE_NODES = 8
 _MAX_DENSE_CELLS = 5_000_000
+_QV_MAX_BLOCKS = 2048
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -210,11 +212,11 @@ class PanelEngine:
     def transform(self, cells: np.ndarray) -> np.ndarray:
         """Row sums of the weights against per-cell data, one row per path.
 
-        `cells` holds n values per path (increments for Z, midpoint values
-        for F); the result has one column per inner time after t = 0.
+        `cells` is 2-D with n values per path (increments for Z, midpoint
+        values for F); the result has one column per inner time after t = 0.
         """
-        if cells.shape[-1] != self.grid.n:
-            raise ValueError(f"expected {self.grid.n} cells per path, got {cells.shape[-1]}")
+        if cells.ndim != 2 or cells.shape[1] != self.grid.n:
+            raise ValueError(f"expected cells of shape (paths, {self.grid.n}), got {cells.shape}")
         if self._weights is not None:
             return cells @ self._weights.T
         spectrum = sfft.rfft(cells * self._m_pow, self._fft_len, axis=1)
@@ -258,8 +260,8 @@ class PanelEngine:
         integrates the backward-difference (causal) P, which depends only on
         F up to its own node, while K squares the more accurate centered P.
 
-        "qv" is each path's quadratic variation of the S panel on the inner
-        grid; gamma sqrt(qv / w) estimates the noise scale.
+        "qv" is each path's `quadratic_variation` of the S panel; gamma
+        sqrt(qv / w) estimates the noise scale.
         """
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
@@ -277,8 +279,18 @@ class PanelEngine:
             "J": f[:, -1] / gamma,
             "K": (p_left**2) @ dw,
             "w": float(self.w_inner[-1]),
-            "qv": np.sum(ds**2, axis=1),
+            "qv": quadratic_variation(s),
         }
+
+
+def quadratic_variation(panel: np.ndarray) -> np.ndarray:
+    """Row sums of squared increments of an inner-grid panel (t = 0 first) over
+    at most _QV_MAX_BLOCKS equal blocks, cut by the smallest step that fits."""
+    cells = panel.shape[1] - 1
+    step = -(-cells // _QV_MAX_BLOCKS)
+    if cells % step:
+        raise ValueError(f"{cells} inner cells are not a multiple of the block size {step}")
+    return np.sum(np.diff(panel[:, ::step], axis=1) ** 2, axis=1)
 
 
 _ENGINE_CACHE: dict[tuple[int, float, float, int], PanelEngine] = {}

@@ -104,10 +104,46 @@ def test_oracle_rejects_large_n():
         fbm.exact_gaussian_oracle(0.7, grid, seed=1)
 
 
+def _full_spectrum_fbm(hurst, grid, seed):
+    # Reference construction: the full 2n-point Hermitian spectrum with its
+    # conjugate mirror and one forward complex FFT, from the same draw.
+    n, m = grid.n, 2 * grid.n
+    c = fbm._fgn_unit_autocov(n, hurst)
+    eig = np.clip(np.fft.fft(np.concatenate([c, c[-2:0:-1]])).real, 0.0, None)
+    z = np.random.default_rng(seed).standard_normal(m)
+    u, v = z[: n + 1], z[n + 1 :]
+    spectrum = np.zeros(m, dtype=complex)
+    spectrum[0] = np.sqrt(eig[0] / m) * u[0]
+    spectrum[n] = np.sqrt(eig[n] / m) * u[n]
+    half = np.sqrt(eig[1:n] / (2.0 * m)) * (u[1:n] + 1j * v)
+    spectrum[1:n] = half
+    spectrum[n + 1 :] = np.conj(half[::-1])
+    noise = np.fft.fft(spectrum).real[:n]
+    return np.concatenate([[0.0], np.cumsum(noise)]) * grid.dt**hurst
+
+
+@pytest.mark.parametrize("n", [16, 1024, 8192, 65536])
+@pytest.mark.parametrize("hurst", [0.55, 0.7, 0.95])
+def test_irfft_matches_full_spectrum_construction(n, hurst):
+    grid = fbm.SampleGrid(horizon=3.0, n=n)
+    for seed in range(3):
+        got = fbm.generate_fbm(hurst, grid, seed).values
+        ref = _full_spectrum_fbm(hurst, grid, seed)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cached_amplitudes_refuse_writes():
+    amp = fbm._amplitudes(64, 0.7)
+    assert amp.shape == (65,)
+    with pytest.raises(ValueError):
+        amp[0] = 0.0
+    assert fbm._amplitudes(64, 0.7) is amp
+
+
 def test_embedding_negative_eigenvalue_policy(monkeypatch):
     # Force a materially negative eigenvalue to confirm the hard-error path;
     # genuine fGn embeddings are nonnegative for every H in (0,1).
-    fbm._EIG_CACHE.clear()
+    fbm._amplitudes.cache_clear()
     true_autocov = fbm._fgn_unit_autocov
 
     def bad_autocov(n, hurst):
@@ -118,8 +154,7 @@ def test_embedding_negative_eigenvalue_policy(monkeypatch):
     monkeypatch.setattr(fbm, "_fgn_unit_autocov", bad_autocov)
     with pytest.raises(fbm.FbmEmbeddingError):
         fbm.generate_fbm(0.7, fbm.SampleGrid(horizon=1.0, n=64), seed=1)
-    fbm._EIG_CACHE.clear()
-
+    fbm._amplitudes.cache_clear()
 
 
 def test_csv_roundtrip_17_digits(tmp_path):

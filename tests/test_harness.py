@@ -116,6 +116,11 @@ def test_config_refuses_misread_horizons(tmp_path):
         ("alpha", {"params": dict(DESK_PARAMS, alpha=math.nan)}),
         ("x0", {"params": dict(DESK_PARAMS, x0=math.inf)}),
         ("x0", {"params": dict(DESK_PARAMS, x0=None)}),
+        ("params", {"params": {"alpha": 1.0}}),
+        ("params", {"params": dict(DESK_PARAMS, delta=1)}),
+        ("output_dir", {"output_dir": None}),
+        ("output_dir", {"output_dir": 5}),
+        ("output_dir", {"output_dir": ""}),
     ],
 )
 def test_config_refuses_mistyped_fields(tmp_path, field, overrides):
@@ -385,7 +390,7 @@ def test_failed_list_always_present(tmp_path):
     assert payload["details"]["failed"] == []
 
 
-@pytest.mark.parametrize("n_grid", [4096, 8192])
+@pytest.mark.parametrize("n_grid", [4096, 8192, 65536])
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_block_gamma_matches_per_path_recovery(tmp_path, n_grid, gamma):
     params = dict(DESK_PARAMS, gamma=gamma)

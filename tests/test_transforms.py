@@ -16,6 +16,7 @@ from fracvas.transforms import (
     constants,
     kernel_k,
     martingale_M,
+    quadratic_variation,
     reconstruct_X,
     refinement_check,
     sufficient_stats,
@@ -114,6 +115,34 @@ def test_stride_one_first_row_is_exact_beta_value(monkeypatch):
             monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
             Z, _ = PanelEngine(grid, hurst, stride=1).raw_panels(grid.times())
             assert abs(Z[0, 1] - w_dt) < 1e-12
+
+
+def test_transform_refuses_cells_that_are_not_one_row_per_path(monkeypatch):
+    # Both forms take a (paths, n) block: a bare 1-D row used to come back
+    # as one panel from the dense form and raise IndexError in the FFT form.
+    grid = SampleGrid(horizon=1.0, n=256)
+    cells = np.ones(grid.n)
+    for dense_cells in (transforms._MAX_DENSE_CELLS, 1):
+        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
+        eng = PanelEngine(grid, 0.7, stride=16)
+        for bad in (cells, cells[None, None, :], cells[None, 1:]):
+            with pytest.raises(ValueError, match="shape"):
+                eng.transform(bad)
+        assert eng.transform(cells[None, :]).shape == (1, eng.n_inner)
+
+
+def test_quadratic_variation_partition():
+    # Every inner cell up to 2048 of them, then the smallest step that
+    # leaves at most 2048 equal blocks; on a linear panel each block adds
+    # step^2, so the sum is cells * step.
+    for cells, step in ((256, 1), (2048, 1), (3000, 2), (4096, 2), (6000, 3)):
+        panel = np.arange(cells + 1, dtype=float)[None, :]
+        assert quadratic_variation(np.vstack([panel, 2.0 * panel])).tolist() == [
+            cells * step,
+            4.0 * cells * step,
+        ]
+    with pytest.raises(ValueError, match="block size"):
+        quadratic_variation(np.zeros((1, 2050)))
 
 
 def test_constant_path_closed_forms():
