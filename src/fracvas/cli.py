@@ -70,6 +70,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"fracvas: aborted: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"fracvas: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     for row in report.rows:
         verdict = "pass" if row.ks_p > config.p_threshold else "FAIL"

@@ -11,8 +11,9 @@ pass over them (PanelEngine.statistics) and the drift MLEs once over the
 resulting arrays.  It returns columns, one 1-D array per quantity over
 its surviving replications, plus (replication, stage, message) failure
 records.  A failed simulation voids its replication.  A failed roughness
-estimate only sets that H_hat to NaN, since H is taken as known.  If an
-MLE raises, every replication of the block fails at stage "mle": a
+estimate only sets that H_hat to NaN, since H is taken as known.  If the
+batched statistics raise (a non-finite S, I, J, K or qv) or an MLE does,
+every replication of the block fails at stage "stats" or "mle": a
 degenerate row has probability zero and overflow hits a whole horizon.
 Simulate mode writes each block's path files from inside the block.
 
@@ -28,6 +29,7 @@ variant ("J_normal_identity") gates instead.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -268,15 +270,29 @@ def _law_fields(law) -> dict:
     return out
 
 
-def _write_csv(path: str, columns: dict) -> None:
+def _write_csv(path: str, columns: dict, body: str | None = None) -> None:
     """Write named columns as one CSV: floats with 17 significant digits, which
-    round-trip every double, and every other cell through str."""
-    arrays = [np.asarray(col) for col in columns.values()]
-    row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+    round-trip every double, and every other cell through str.
+
+    `body` is the rows' format string when the caller has one prebuilt (a
+    path file's `_path_rows`); a column given as None is already formatted
+    into it.  Without it, the rows are built from the column dtypes.
+    """
+    arrays = [np.asarray(col) for col in columns.values() if col is not None]
+    if body is None:
+        row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
+        body = row * len(arrays[0])
     cells = tuple(chain.from_iterable(zip(*(a.tolist() for a in arrays))))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.write(row * len(arrays[0]) % cells)
+        fh.write(body % cells)
+
+
+@functools.lru_cache(maxsize=2)
+def _path_rows(grid: SampleGrid) -> str:
+    """Row format string of a path file on `grid`: every time value already
+    formatted, one value slot per row.  Every path of a horizon shares it."""
+    return "".join("%.17g,%%.17g\n" % t for t in grid.times().tolist())
 
 
 def _tag(T: float) -> str:
@@ -321,7 +337,7 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
         seeds.append(seed)
         if mode == "paths":
             out = os.path.join(config.output_dir, _path_csv_name(T, rep))
-            _write_csv(out, {"t": grid.times(), "value": path.values})
+            _write_csv(out, {"t": None, "value": path.values}, _path_rows(grid))
         elif mode.startswith("stats"):
             values.append(path.values)
         if mode == "stats+est":
@@ -340,16 +356,18 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
     if engine is None:
         return columns, failures
 
-    stats = engine.statistics(np.reshape(values, (len(reps), grid.n + 1)), params.gamma)
-    columns.update(
-        S=stats["S"], I=stats["I"], J=stats["J"], K=stats["K"], w=np.full(len(reps), stats["w"])
-    )
-    if mode == "stats+est":
-        g = params.gamma
-        columns["gamma_hat"] = g * np.sqrt(stats["qv"] / stats["w"])
-        try:
-            fields = {key: stats[key] for key in ("S", "I", "J", "K", "w")}
-            suff = SufficientStats(**fields, horizon=grid.horizon, hurst=params.hurst, gamma=g)
+    stage = "stats"
+    try:
+        stats = engine.statistics(np.reshape(values, (len(reps), grid.n + 1)), params.gamma)
+        fields = {key: stats[key] for key in ("S", "I", "J", "K")}
+        columns.update(fields, w=np.full(len(reps), stats["w"]))
+        if mode == "stats+est":
+            g = params.gamma
+            columns["gamma_hat"] = g * np.sqrt(stats["qv"] / stats["w"])
+            stage = "mle"
+            suff = SufficientStats(
+                **fields, w=stats["w"], horizon=grid.horizon, hurst=params.hurst, gamma=g
+            )
             joint = mle_joint(suff, g)
             pair = mle_mu_kappa(suff, g)
             columns.update(
@@ -360,9 +378,9 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
                 mu_hat=pair.alpha_hat,
                 kappa_hat=pair.beta_hat,
             )
-        except Exception as exc:  # noqa: BLE001 - the block's estimates fail together
-            failures.extend(_failure(rep, "mle", exc) for rep in reps)
-            columns = {key: col[:0] for key, col in columns.items()}
+    except Exception as exc:  # noqa: BLE001 - a block's statistics and estimates fail together
+        failures.extend(_failure(rep, stage, exc) for rep in reps)
+        columns = {key: col[:0] for key, col in columns.items()}
     return columns, failures
 
 
@@ -388,14 +406,16 @@ def _collect(
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             blocks = list(pool.map(_batch_task, tasks))
-    columns = {key: np.concatenate([cols[key] for cols, _ in blocks]) for key in blocks[0][0]}
+    # a block that failed at "stats" or "mle" lacks the later columns
+    kept = [cols for cols, _ in blocks if cols["replication"].size]
     failures = [failure for _, block_failures in blocks for failure in block_failures]
-    voided = n - columns["replication"].size
+    voided = n - sum(cols["replication"].size for cols in kept)
     if voided > 0.01 * n:
         examples = [message for _, _, message in failures[:3]]
         raise RuntimeError(
             f"{voided}/{n} replications failed at T={T} (> 1%); first errors: {examples}"
         )
+    columns = {key: np.concatenate([cols[key] for cols in kept]) for key in kept[0]}
     report.failures += voided
     report.details["failed"].extend(
         dict(tags, T=T, replication=rep, stage=stage, message=message)

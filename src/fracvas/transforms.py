@@ -262,6 +262,9 @@ class PanelEngine:
 
         "qv" is each path's `quadratic_variation` of the S panel; gamma
         sqrt(qv / w) estimates the noise scale.
+
+        Raises ValueError naming the first of S, I, J, K, qv that is not
+        finite on some path (a path large enough to overflow its panels).
         """
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
@@ -273,14 +276,18 @@ class PanelEngine:
         p_causal = np.diff(f, axis=1) / dw / gamma
         p_left = np.concatenate([p[:, :1], p[:, :-1]], axis=1)
         pc_left = np.concatenate([p_causal[:, :1], p_causal[:, :-1]], axis=1)
-        return {
+        stats = {
             "S": s[:, -1],
             "I": np.einsum("rj,rj->r", pc_left, ds),
             "J": f[:, -1] / gamma,
             "K": (p_left**2) @ dw,
-            "w": float(self.w_inner[-1]),
             "qv": quadratic_variation(s),
         }
+        for name, column in stats.items():
+            bad = np.count_nonzero(~np.isfinite(column))
+            if bad:
+                raise ValueError(f"statistic {name} is not finite on {bad} of {column.size} paths")
+        return dict(stats, w=float(self.w_inner[-1]))
 
 
 def quadratic_variation(panel: np.ndarray) -> np.ndarray:

@@ -266,6 +266,40 @@ def test_simulate_writes_paths(tmp_path):
     assert seeds["path_T1_rep00000.csv"] == replication_seed(7, 0)
 
 
+@pytest.mark.parametrize("horizon, n", [(0.1, 4), (1 / 3, 64), (5.0, 8192), (1e5, 16)])
+def test_path_rows_match_the_columnar_writer(tmp_path, horizon, n):
+    # the cached per-grid row template writes the same bytes as the
+    # generic columnar CSV of (t, value)
+    grid = SampleGrid(horizon=horizon, n=n)
+    values = np.random.default_rng(n).standard_normal(n + 1)
+    values[:5] = [0.0, -0.0, -1e-300, 1e-300, 1e300]
+    generic, templated = tmp_path / "generic.csv", tmp_path / "templated.csv"
+    harness._write_csv(str(generic), {"t": grid.times(), "value": values})
+    harness._write_csv(str(templated), {"t": None, "value": values}, harness._path_rows(grid))
+    assert templated.read_bytes() == generic.read_bytes()
+    lines = templated.read_text().splitlines()
+    assert lines[0] == "t,value" and len(lines) == n + 2
+    parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(parsed[:, 0], grid.times())
+    assert np.array_equal(parsed[:, 1], values)
+    assert np.array_equal(np.signbit(parsed[:, 1]), np.signbit(values))
+
+
+def test_simulate_paths_carry_their_own_grid(tmp_path):
+    # two horizons at one n: each file has its own grid's time column, so the
+    # row template is keyed by the whole grid, not by n
+    cfg = _config(tmp_path, experiment="simulate", T_list=[1.0, 2.0], n_grid=64, replications=2)
+    run_experiment(cfg)
+    for T in (1.0, 2.0):
+        grid = SampleGrid(horizon=T, n=64)
+        for rep in range(2):
+            values = simulate_exact(cfg.params, grid, seed=replication_seed(7, rep)).values
+            expected = tmp_path / "expected.csv"
+            harness._write_csv(str(expected), {"t": grid.times(), "value": values})
+            written = tmp_path / "out" / f"path_T{T:g}_rep{rep:05d}.csv"
+            assert written.read_bytes() == expected.read_bytes()
+
+
 def test_estimate_csv_schema(tmp_path):
     cfg = _config(tmp_path, experiment="estimate", n_grid=4096, replications=25)
     report = run_experiment(cfg)
@@ -310,6 +344,42 @@ def test_failure_rate_aborts(tmp_path):
     cfg = _config(tmp_path, T_list=[1500.0], n_grid=512, replications=30)
     with pytest.raises(RuntimeError, match="> 1%"):
         run_experiment(cfg)
+
+
+def test_non_finite_statistics_fail_the_block_at_stats(tmp_path):
+    # beta T = -400 is within the refusal limit, but the panels of I and K
+    # overflow; every replication of the block fails at stage "stats"
+    cfg = _config(tmp_path, T_list=[800.0], n_grid=1024, replications=64)
+    with np.errstate(over="ignore"):
+        columns, failures = harness._batch_task(("stats", cfg, cfg.params, 800.0, 0, 8))
+    assert all(col.size == 0 for col in columns.values())
+    message = "ValueError: statistic I is not finite on 8 of 8 paths"
+    assert failures == [(rep, "stats", message) for rep in range(8)]
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="statistic I is not finite"):
+        run_experiment(cfg)
+
+
+def test_block_failed_at_stats_within_budget(tmp_path, monkeypatch):
+    # one-replication blocks: the first block fails at "stats" (1 of 100 is
+    # within the 1% budget), and the surviving blocks still give full columns
+    real = harness.simulate_exact
+
+    def poisoned(params, grid, seed):
+        path = real(params, grid, seed=seed)
+        if seed == replication_seed(7, 0):
+            path.values[-1] = math.nan
+        return path
+
+    monkeypatch.setattr(harness, "_BATCH", 1)
+    monkeypatch.setattr(harness, "simulate_exact", poisoned)
+    report = run_experiment(_config(tmp_path, replications=100))
+    assert report.failures == 1
+    (failed,) = report.details["failed"]
+    assert (failed["replication"], failed["stage"]) == (0, "stats")
+    assert failed["message"] == "ValueError: statistic S is not finite on 1 of 1 paths"
+    lines = (tmp_path / "out" / "stats_T2.csv").read_text().strip().splitlines()
+    assert len(lines) == 100 and lines[1].startswith("1,")
+    assert report.rows[0].n_reps == 99
 
 
 def test_mgf_check_refuses_ergodic_beta(tmp_path):

@@ -159,6 +159,22 @@ def test_constant_path_closed_forms():
     assert out["w"] == pytest.approx(w_T, rel=1e-12)
 
 
+def test_statistics_refuse_non_finite_outputs():
+    # the first of S, I, J, K, qv that is not finite is named where it is
+    # made; overflow warnings are silenced so only the ValueError is tested
+    grid = SampleGrid(horizon=2.0, n=512)
+    eng = PanelEngine(grid, DESK.hurst, stride=16)
+    values = simulate_exact(DESK, grid, seed=5).values[None, :]
+    with pytest.raises(ValueError, match="statistic S is not finite on 1 of 2 paths"):
+        eng.statistics(np.vstack([values, np.full_like(values, np.nan)]), DESK.gamma)
+    # a path of 1e200 still has finite S and J, but I and K overflow
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="statistic I is not finite on 1 of 1 paths"):
+            eng.statistics(1e200 * values, DESK.gamma)
+    out = eng.statistics(values, DESK.gamma)
+    assert all(np.all(np.isfinite(out[key])) for key in ("S", "I", "J", "K", "w", "qv"))
+
+
 def test_brownian_case_is_exact_on_interpolants():
     # At H = 1/2 the kernel is 1 and w(t) = t, so on the piecewise-linear
     # interpolant S must equal the increment sum and F the trapezoid integral.
