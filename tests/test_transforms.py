@@ -175,6 +175,25 @@ def test_statistics_refuse_non_finite_outputs():
     assert all(np.all(np.isfinite(out[key])) for key in ("S", "I", "J", "K", "w", "qv"))
 
 
+def test_statistics_name_an_overflow_without_warning():
+    # no errstate here: under error::RuntimeWarning an overflow inside the
+    # statistics must still surface as the ValueError naming the statistic
+    grid = SampleGrid(horizon=2.0, n=512)
+    eng = PanelEngine(grid, DESK.hurst, stride=16)
+    values = simulate_exact(DESK, grid, seed=5).values[None, :]
+    with pytest.raises(ValueError, match="statistic I is not finite on 1 of 1 paths"):
+        eng.statistics(1e200 * values, DESK.gamma)
+
+
+def test_dense_weights_skip_the_zeros_past_each_output_time():
+    # row j has no weight past cell (j+1)*stride - 1, so the dense form stores
+    # about 0.56 m n entries (8 row blocks), not the full m x n matrix
+    grid = SampleGrid(horizon=5.0, n=8192)
+    eng = PanelEngine(grid, 0.7, stride=16)
+    stored = sum(block.size for block in eng._weights)
+    assert stored <= 0.6 * eng.n_inner * grid.n
+
+
 def test_brownian_case_is_exact_on_interpolants():
     # At H = 1/2 the kernel is 1 and w(t) = t, so on the piecewise-linear
     # interpolant S must equal the increment sum and F the trapezoid integral.
@@ -243,7 +262,9 @@ def test_cauchy_schwarz_between_stats():
 def test_fft_panels_match_dense_matrix(monkeypatch):
     # Same quadrature weights, two evaluation orders: dense matmul vs the
     # convolution form used for large problems.  Agreement to rounding.
-    for n, stride in ((4096, 16), (4096, 1), (2048, 2)):
+    # (64, 16) has fewer inner rows than dense row blocks and (1000, 8) has
+    # 125, not a multiple of them, so every block boundary is compared.
+    for n, stride in ((4096, 16), (4096, 1), (2048, 2), (64, 16), (1000, 8)):
         grid = SampleGrid(horizon=5.0, n=n)
         monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
         dense = PanelEngine(grid, 0.7, stride=stride)
