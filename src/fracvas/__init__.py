@@ -8,7 +8,6 @@ verification harnesses for the exact and long-horizon distribution theory.
 
 from .estimators import (
     DegenerateStatsError,
-    DriftEstimate,
     estimate_gamma,
     estimate_hurst,
     loglik,
@@ -54,12 +53,10 @@ from .transforms import (
     constants,
     martingale_M,
     shared_engine,
-    sufficient_stats,
 )
 
 __all__ = [
     "DegenerateStatsError",
-    "DriftEstimate",
     "ExperimentConfig",
     "FbmPath",
     "MgfDomainError",
@@ -108,7 +105,6 @@ __all__ = [
     "simulate_euler",
     "simulate_exact",
     "special_case_ratio",
-    "sufficient_stats",
     "vector_limit",
     "zeta_law",
 ]

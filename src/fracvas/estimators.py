@@ -1,9 +1,11 @@
 """Drift MLEs, the log-likelihood, and noise-parameter recovery.
 
 All drift estimators are algebraic functions of the sufficient statistics
-(S, I, J, K, w) produced by the transform engine, so the same closed forms
-serve one path (float fields) or a block of paths (array fields, one entry
-per path; a degenerate or non-finite entry anywhere raises for the block):
+(S, I, J, K, w) in the SufficientStats record of PanelEngine.statistics,
+so the same closed forms serve one path (float fields) or a block of paths
+(array fields, one entry per path; a degenerate or non-finite entry
+anywhere raises for the block).  They return plain values, as tuples for
+the two joint forms:
 
     joint:      alpha_hat = gamma (S K - I J) / (w K - J^2)
                 beta_hat  = (S J - w I) / (w K - J^2)
@@ -26,7 +28,6 @@ variations, which annihilate the smooth drift to first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,31 +35,9 @@ from .transforms import SufficientStats, quadratic_variation, shared_engine
 
 _MIN_RECOVERY_N = 4096
 
-_VARIANTS = ("joint", "alpha-only", "beta-only", "mu-kappa")
-
 
 class DegenerateStatsError(ValueError):
     """Estimator denominator vanished; the path is constant or degenerate."""
-
-
-@dataclass(frozen=True)
-class DriftEstimate:
-    """A drift-parameter estimate plus the context it was computed in.
-
-    For the "mu-kappa" variant the fields hold (mu_hat, kappa_hat): the
-    mean-level and reversion-speed parameterization of the same drift.
-    """
-
-    alpha_hat: float
-    beta_hat: float
-    variant: str
-    horizon: float
-    hurst: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 def _finite(name: str, value):
@@ -79,18 +58,12 @@ def _joint_denominator(stats: SufficientStats) -> float | np.ndarray:
     return denom
 
 
-def mle_joint(stats: SufficientStats, gamma: float) -> DriftEstimate:
+def mle_joint(stats: SufficientStats, gamma: float) -> tuple:
+    """Joint MLE (alpha_hat, beta_hat) of the level and reversion parameters."""
     denom = _joint_denominator(stats)
     alpha_hat = gamma * (stats.S * stats.K - stats.I * stats.J) / denom
     beta_hat = (stats.S * stats.J - stats.w * stats.I) / denom
-    return DriftEstimate(
-        alpha_hat=_finite("alpha_hat", alpha_hat),
-        beta_hat=_finite("beta_hat", beta_hat),
-        variant="joint",
-        horizon=stats.horizon,
-        hurst=stats.hurst,
-        gamma=gamma,
-    )
+    return _finite("alpha_hat", alpha_hat), _finite("beta_hat", beta_hat)
 
 
 def mle_alpha(stats: SufficientStats, gamma: float, beta_known: float) -> float | np.ndarray:
@@ -105,8 +78,8 @@ def mle_beta(stats: SufficientStats, gamma: float, alpha_known: float) -> float 
     return _finite("beta_tilde", (alpha_known / gamma * stats.J - stats.I) / stats.K)
 
 
-def mle_mu_kappa(stats: SufficientStats, gamma: float) -> DriftEstimate:
-    """Joint MLE in the (mean level, reversion speed) parameterization.
+def mle_mu_kappa(stats: SufficientStats, gamma: float) -> tuple:
+    """Joint MLE (mu_hat, kappa_hat) in the mean-level, reversion-speed form.
 
     Identical to mle_joint up to the reparameterization mu = alpha/beta,
     kappa = beta; kept as its own closed form so the identity is testable.
@@ -116,14 +89,7 @@ def mle_mu_kappa(stats: SufficientStats, gamma: float) -> DriftEstimate:
     if np.any(mu_denom == 0.0):
         raise DegenerateStatsError("S J - w I = 0; mean level is unidentified")
     mu_hat = gamma * (stats.S * stats.K - stats.I * stats.J) / mu_denom
-    return DriftEstimate(
-        alpha_hat=_finite("mu_hat", mu_hat),
-        beta_hat=_finite("kappa_hat", mu_denom / denom),
-        variant="mu-kappa",
-        horizon=stats.horizon,
-        hurst=stats.hurst,
-        gamma=gamma,
-    )
+    return _finite("mu_hat", mu_hat), _finite("kappa_hat", mu_denom / denom)
 
 
 def loglik(alpha: float, beta: float, stats: SufficientStats, gamma: float) -> float:

@@ -68,8 +68,8 @@ from .limits import (
     special_case_ratio,
 )
 from .mgf import mgf1_log, mgf2_log
-from .model import ModelParams, _is_finite_real, simulate_exact
-from .transforms import SufficientStats, constants, shared_engine
+from .model import _LOG_MAX_FLOAT, ModelParams, _is_finite_real, simulate_exact
+from .transforms import constants, shared_engine
 
 EXPERIMENTS = (
     "simulate",
@@ -159,6 +159,15 @@ class ExperimentConfig:
             raise ValueError(f"p_threshold must lie in (0, 1), got {self.p_threshold!r}")
         if self.experiment in ("limit-check", "mgf-check") and not self.params.beta < 0.0:
             raise ValueError(f"{self.experiment} requires beta < 0")
+        # paths carry exp(|beta| t); for beta < 0 the statistics I and K
+        # carry exp(2 |beta| T), while for beta > 0 they stay bounded
+        t_max = max(t_list)
+        halve = self.experiment != "simulate" and self.params.beta < 0.0
+        bound = _LOG_MAX_FLOAT / 2.0 if halve else _LOG_MAX_FLOAT
+        if abs(self.params.beta) * t_max > bound:
+            raise ValueError(
+                f"horizon T = {t_max:g} overflows {self.experiment}: |beta| T > {bound:.4g}"
+            )
         if self.experiment in _RECOVERING and n < _MIN_RECOVERY_N:
             raise ValueError(
                 f"{self.experiment} recovers H and gamma from every path, which needs "
@@ -359,25 +368,15 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
     stage = "stats"
     try:
         stats = engine.statistics(np.reshape(values, (len(reps), grid.n + 1)), params.gamma)
-        fields = {key: stats[key] for key in ("S", "I", "J", "K")}
-        columns.update(fields, w=np.full(len(reps), stats["w"]))
+        columns.update(S=stats.S, I=stats.I, J=stats.J, K=stats.K, w=np.full(len(reps), stats.w))
         if mode == "stats+est":
             g = params.gamma
-            columns["gamma_hat"] = g * np.sqrt(stats["qv"] / stats["w"])
+            columns["gamma_hat"] = g * np.sqrt(stats.qv / stats.w)
             stage = "mle"
-            suff = SufficientStats(
-                **fields, w=stats["w"], horizon=grid.horizon, hurst=params.hurst, gamma=g
-            )
-            joint = mle_joint(suff, g)
-            pair = mle_mu_kappa(suff, g)
-            columns.update(
-                alpha_hat=joint.alpha_hat,
-                beta_hat=joint.beta_hat,
-                alpha_tilde=mle_alpha(suff, g, beta_known=params.beta),
-                beta_tilde=mle_beta(suff, g, alpha_known=params.alpha),
-                mu_hat=pair.alpha_hat,
-                kappa_hat=pair.beta_hat,
-            )
+            columns["alpha_hat"], columns["beta_hat"] = mle_joint(stats, g)
+            columns["alpha_tilde"] = mle_alpha(stats, g, beta_known=params.beta)
+            columns["beta_tilde"] = mle_beta(stats, g, alpha_known=params.alpha)
+            columns["mu_hat"], columns["kappa_hat"] = mle_mu_kappa(stats, g)
     except Exception as exc:  # noqa: BLE001 - a block's statistics and estimates fail together
         failures.extend(_failure(rep, stage, exc) for rep in reps)
         columns = {key: col[:0] for key, col in columns.items()}
@@ -585,6 +584,7 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
         estimates.append(_estimate_columns(T, cols))
         if insufficient:
             continue
+        samples = {}
         for name, sample, law in _limit_statistics(p, T, cols):
             # asymptotic laws gate only at the largest horizon; the exact
             # pivot gates everywhere; the stated J constants never gate
@@ -592,10 +592,12 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
                 T == t_max and name != "J_normal_stated"
             )
             _ks_check(report, T, name, sample, law, gates)
+            samples[name] = sample
 
-        beta_err = math.exp(-p.beta * T) * (cols["beta_hat"] - p.beta)
-        alpha_err = T ** (1.0 - p.hurst) * (cols["alpha_hat"] - p.alpha)
-        independence[_tag(T)] = float(spearmanr(alpha_err, beta_err).statistic)
+        rho = spearmanr(samples["alpha_normal"], samples["beta_ratio"]).statistic
+        independence[_tag(T)] = float(rho)
+        # held into the next horizon's simulation, the samples raise peak RSS
+        del samples
         ratio = (cols["S"] + p.beta * cols["J"]) / cols["w"]
         drift_gap[_tag(T)] = float(np.median(ratio)) - p.alpha / p.gamma
 

@@ -27,13 +27,16 @@ stride 16).  Large grids use an FFT convolution instead.
 P is computed by centered differences of F in the w clock on an inner grid
 of every stride-th node (default n/16 points); panels start at the first
 inner node and the value at T is one-sided.  The Ito sum for I uses
-backward differences instead (see PanelEngine.statistics).
+backward differences instead (see PanelEngine.statistics).  The horizon
+statistics travel as one SufficientStats record, from PanelEngine.statistics
+to the drift estimators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import fft as sfft
@@ -51,7 +54,6 @@ __all__ = [
     "constants",
     "kernel_k",
     "shared_engine",
-    "sufficient_stats",
     "martingale_M",
     "quadratic_variation",
     "reconstruct_X",
@@ -125,29 +127,32 @@ def _jacobi_rule_01(n: int, left_exp: float, right_exp: float):
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Horizon statistics feeding the drift estimators.
+    """Horizon statistics feeding the drift estimators, refused if not finite.
 
-    S, I, J, K and w are floats for one path, or arrays with one entry per
-    path for a block of replications (w may stay a float).
+    S, I, J, K and qv hold one entry per path, or are floats for one path;
+    w = w(T) is shared.  qv is the `quadratic_variation` of the S panel, so
+    gamma sqrt(qv / w) estimates the noise scale.
     """
 
     S: float | np.ndarray
     I: float | np.ndarray
     J: float | np.ndarray
     K: float | np.ndarray
-    w: float | np.ndarray
-    horizon: float
-    hurst: float
-    gamma: float
+    qv: float | np.ndarray
+    w: float
 
     def __post_init__(self) -> None:
-        for name in ("S", "I", "J", "K", "w"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            bad = np.count_nonzero(~np.isfinite(value))
+            if bad:
+                raise ValueError(
+                    f"statistic {f.name} is not finite on {bad} of {np.size(value)} paths"
+                )
         if not np.all(self.K >= 0.0):
             raise ValueError(f"K must be nonnegative, got {np.min(self.K)}")
-        if not np.all(self.w > 0.0):
-            raise ValueError(f"w must be positive, got {np.min(self.w)}")
+        if not self.w > 0.0:
+            raise ValueError(f"w must be positive, got {self.w}")
 
 
 class PanelEngine:
@@ -268,8 +273,8 @@ class PanelEngine:
         p[:, -1] = (f[:, -1] - f[:, -2]) / (w[-1] - w[-2]) / gamma
         return p
 
-    def statistics(self, values: np.ndarray, gamma: float) -> dict[str, np.ndarray]:
-        """Batched horizon statistics {S, I, J, K} plus the scalar w.
+    def statistics(self, values: np.ndarray, gamma: float) -> SufficientStats:
+        """Batched horizon statistics S, I, J, K and qv, plus the scalar w.
 
         I = int P dS and K = int P^2 dw are left-point sums on the inner
         grid, each backfilling its integrand on [0, t_1] with the t_1 value.
@@ -278,15 +283,12 @@ class PanelEngine:
         integrates the backward-difference (causal) P, which depends only on
         F up to its own node, while K squares the more accurate centered P.
 
-        "qv" is each path's `quadratic_variation` of the S panel; gamma
-        sqrt(qv / w) estimates the noise scale.
-
         Raises ValueError naming the first of S, I, J, K, qv that is not
         finite on some path (a path large enough to overflow its panels).
         """
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
-        # an overflow shows up as a non-finite statistic, refused by name below
+        # an overflow shows up as a non-finite statistic, refused by name
         with np.errstate(over="ignore", invalid="ignore"):
             z, f = self.raw_panels(values)
             s = z / gamma
@@ -296,18 +298,14 @@ class PanelEngine:
             p_causal = np.diff(f, axis=1) / dw / gamma
             p_left = np.concatenate([p[:, :1], p[:, :-1]], axis=1)
             pc_left = np.concatenate([p_causal[:, :1], p_causal[:, :-1]], axis=1)
-            stats = {
-                "S": s[:, -1],
-                "I": np.einsum("rj,rj->r", pc_left, ds),
-                "J": f[:, -1] / gamma,
-                "K": (p_left**2) @ dw,
-                "qv": quadratic_variation(s),
-            }
-        for name, column in stats.items():
-            bad = np.count_nonzero(~np.isfinite(column))
-            if bad:
-                raise ValueError(f"statistic {name} is not finite on {bad} of {column.size} paths")
-        return dict(stats, w=float(self.w_inner[-1]))
+            return SufficientStats(
+                S=s[:, -1],
+                I=np.einsum("rj,rj->r", pc_left, ds),
+                J=f[:, -1] / gamma,
+                K=(p_left**2) @ dw,
+                qv=quadratic_variation(s),
+                w=float(self.w_inner[-1]),
+            )
 
 
 def quadratic_variation(panel: np.ndarray) -> np.ndarray:
@@ -320,44 +318,16 @@ def quadratic_variation(panel: np.ndarray) -> np.ndarray:
     return np.sum(np.diff(panel[:, ::step], axis=1) ** 2, axis=1)
 
 
-_ENGINE_CACHE: dict[tuple[int, float, float, int], PanelEngine] = {}
-_ENGINE_CACHE_SLOTS = 3
-
-
-def shared_engine(grid: SampleGrid, hurst: float, stride: int = _DEFAULT_STRIDE) -> PanelEngine:
-    """Engine for (grid, H, stride), reused across calls.
+@functools.lru_cache(maxsize=3)
+def shared_engine(grid: SampleGrid, hurst: float) -> PanelEngine:
+    """Engine for (grid, H) at the default stride, reused across calls.
 
     The dense weight blocks (18 MiB at n = 8192, stride 16) cost far more
     to build than to apply, so Monte Carlo loops must not rebuild them per
     path.  Engines are immutable after construction; the cache holds a few
-    of them (simulation plus estimation configurations) and evicts the
-    oldest beyond that.
+    of them (simulation plus estimation configurations).
     """
-    key = (grid.n, grid.horizon, hurst, stride)
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_SLOTS:
-            _ENGINE_CACHE.pop(next(iter(_ENGINE_CACHE)))
-        engine = PanelEngine(grid, hurst, stride)
-        _ENGINE_CACHE[key] = engine
-    return engine
-
-
-def sufficient_stats(path: VasicekPath, stride: int = _DEFAULT_STRIDE) -> SufficientStats:
-    """All horizon statistics of one path in a single quadrature pass."""
-    params = path.params
-    engine = shared_engine(path.grid, params.hurst, stride)
-    out = engine.statistics(path.values, params.gamma)
-    return SufficientStats(
-        S=float(out["S"][0]),
-        I=float(out["I"][0]),
-        J=float(out["J"][0]),
-        K=float(out["K"][0]),
-        w=out["w"],
-        horizon=path.grid.horizon,
-        hurst=params.hurst,
-        gamma=params.gamma,
-    )
+    return PanelEngine(grid, hurst)
 
 
 def martingale_M(stats: SufficientStats, params: ModelParams) -> float:
@@ -376,11 +346,12 @@ def refinement_check(
     """
     if stride % 2 != 0:
         raise ValueError("stride must be even to allow halving")
-    coarse = sufficient_stats(path, stride=stride)
-    fine = sufficient_stats(path, stride=stride // 2)
+    params = path.params
+    coarse = PanelEngine(path.grid, params.hurst, stride).statistics(path.values, params.gamma)
+    fine = PanelEngine(path.grid, params.hurst, stride // 2).statistics(path.values, params.gamma)
     gaps = {}
     for name in ("S", "I", "J", "K"):
-        c, f = getattr(coarse, name), getattr(fine, name)
+        c, f = float(getattr(coarse, name)[0]), float(getattr(fine, name)[0])
         gaps[name] = abs(f - c) / max(abs(f), abs(c), 1e-12)
     if max(gaps.values()) > rtol:
         raise QuadratureConvergenceError(f"quadrature not converged: {gaps}")

@@ -58,13 +58,29 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_non_finite_statistic_aborts_with_1(tmp_path, capsys):
-    # |beta T| = 400 passes validation, but I and K overflow on every path;
-    # the overflow warnings are silenced so only the refusal is tested
+    # a start value of 1e200 passes validation, but I and K overflow on every
+    # path; the overflow warnings are silenced so only the refusal is tested
     config = _config_file(
-        tmp_path, experiment="exact-check", T_list=[800.0], n_grid=1024, replications=64
+        tmp_path,
+        experiment="exact-check",
+        params=dict(DESK_PARAMS, x0=1e200),
+        T_list=[5.0],
+        n_grid=1024,
+        replications=64,
     )
     with np.errstate(over="ignore"):
         assert main(["exact-check", "--config", config]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("fracvas: aborted: 64/64 replications failed at T=800.0")
+    assert err.startswith("fracvas: aborted: 64/64 replications failed at T=5.0")
     assert "ValueError: statistic I is not finite on 64 of 64 paths" in err
+
+
+def test_overflowing_horizon_exits_2(tmp_path, capsys):
+    # |beta T| = 400 overflows I and K, so the config is refused before any run
+    config = _config_file(
+        tmp_path, experiment="exact-check", T_list=[800.0], n_grid=1024, replications=64
+    )
+    assert main(["exact-check", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fracvas: bad config: horizon T = 800 overflows exact-check")
+    assert not (tmp_path / "out").exists()

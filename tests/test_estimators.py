@@ -8,7 +8,6 @@ import pytest
 
 from fracvas.estimators import (
     DegenerateStatsError,
-    DriftEstimate,
     estimate_gamma,
     estimate_hurst,
     loglik,
@@ -19,23 +18,22 @@ from fracvas.estimators import (
 )
 from fracvas.fbm import SampleGrid, generate_fbm
 from fracvas.model import ModelParams, simulate_exact
-from fracvas.transforms import SufficientStats, constants, shared_engine, sufficient_stats
+from fracvas.transforms import PanelEngine, SufficientStats, constants, shared_engine
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
 
 
 def _stats(S, I, J, K, w):
-    return SufficientStats(S=S, I=I, J=J, K=K, w=w, horizon=w, hurst=0.7, gamma=1.0)
+    return SufficientStats(S=S, I=I, J=J, K=K, qv=1.0, w=w)
 
 
 def test_joint_plugin_values():
-    est = mle_joint(_stats(S=1.0, I=0.0, J=0.0, K=1.0, w=1.0), gamma=1.0)
-    assert est.alpha_hat == pytest.approx(1.0)
-    assert est.beta_hat == pytest.approx(0.0)
-    assert est.variant == "joint"
-    est = mle_joint(_stats(S=0.0, I=1.0, J=0.0, K=1.0, w=1.0), gamma=1.0)
-    assert est.alpha_hat == pytest.approx(0.0)
-    assert est.beta_hat == pytest.approx(-1.0)
+    alpha_hat, beta_hat = mle_joint(_stats(S=1.0, I=0.0, J=0.0, K=1.0, w=1.0), gamma=1.0)
+    assert alpha_hat == pytest.approx(1.0)
+    assert beta_hat == pytest.approx(0.0)
+    alpha_hat, beta_hat = mle_joint(_stats(S=0.0, I=1.0, J=0.0, K=1.0, w=1.0), gamma=1.0)
+    assert alpha_hat == pytest.approx(0.0)
+    assert beta_hat == pytest.approx(-1.0)
 
 
 def test_joint_degenerate_denominator():
@@ -57,12 +55,11 @@ def test_mu_kappa_identity_and_errors():
     grid = SampleGrid(horizon=5.0, n=2**12)
     for r in range(5):
         path = simulate_exact(DESK, grid, seed=400_000 + r)
-        stats = sufficient_stats(path, stride=16)
-        joint = mle_joint(stats, DESK.gamma)
-        mk = mle_mu_kappa(stats, DESK.gamma)
-        assert mk.variant == "mu-kappa"
-        assert mk.alpha_hat == pytest.approx(joint.alpha_hat / joint.beta_hat, rel=1e-12)
-        assert mk.beta_hat == pytest.approx(joint.beta_hat, rel=1e-12)
+        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
+        mu_hat, kappa_hat = mle_mu_kappa(stats, DESK.gamma)
+        assert mu_hat == pytest.approx(alpha_hat / beta_hat, rel=1e-12)
+        assert kappa_hat == pytest.approx(beta_hat, rel=1e-12)
     with pytest.raises(DegenerateStatsError):
         mle_mu_kappa(_stats(S=1.0, I=0.0, J=0.0, K=1.0, w=1.0), gamma=1.0)
 
@@ -71,7 +68,7 @@ def test_sufficient_stats_refuse_non_finite_fields():
     fields = {"S": 1.0, "I": 0.0, "J": 0.0, "K": 1.0, "w": 1.0}
     for name in fields:
         for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"statistic {name} is not finite"):
                 _stats(**dict(fields, **{name: bad}))
 
 
@@ -96,27 +93,23 @@ def test_array_fields_match_per_row_scalars_bitwise():
     engine = shared_engine(grid, DESK.hurst)
     paths = [simulate_exact(DESK, grid, seed=500_000 + r).values for r in range(40)]
     out = engine.statistics(np.asarray(paths), DESK.gamma)
-    block = SufficientStats(
-        S=out["S"], I=out["I"], J=out["J"], K=out["K"], w=out["w"],
-        horizon=5.0, hurst=DESK.hurst, gamma=DESK.gamma,
-    )
     results = {
-        "joint": mle_joint(block, DESK.gamma),
-        "mu_kappa": mle_mu_kappa(block, DESK.gamma),
-        "alpha": mle_alpha(block, DESK.gamma, beta_known=DESK.beta),
-        "beta": mle_beta(block, DESK.gamma, alpha_known=DESK.alpha),
+        "joint": mle_joint(out, DESK.gamma),
+        "mu_kappa": mle_mu_kappa(out, DESK.gamma),
+        "alpha": mle_alpha(out, DESK.gamma, beta_known=DESK.beta),
+        "beta": mle_beta(out, DESK.gamma, alpha_known=DESK.alpha),
     }
     for i in range(40):
         row = SufficientStats(
-            S=float(out["S"][i]), I=float(out["I"][i]), J=float(out["J"][i]),
-            K=float(out["K"][i]), w=out["w"], horizon=5.0, hurst=DESK.hurst, gamma=DESK.gamma,
+            S=float(out.S[i]), I=float(out.I[i]), J=float(out.J[i]),
+            K=float(out.K[i]), qv=float(out.qv[i]), w=out.w,
         )
-        joint = mle_joint(row, DESK.gamma)
-        pair = mle_mu_kappa(row, DESK.gamma)
-        assert joint.alpha_hat == results["joint"].alpha_hat[i]
-        assert joint.beta_hat == results["joint"].beta_hat[i]
-        assert pair.alpha_hat == results["mu_kappa"].alpha_hat[i]
-        assert pair.beta_hat == results["mu_kappa"].beta_hat[i]
+        alpha_hat, beta_hat = mle_joint(row, DESK.gamma)
+        mu_hat, kappa_hat = mle_mu_kappa(row, DESK.gamma)
+        assert alpha_hat == results["joint"][0][i]
+        assert beta_hat == results["joint"][1][i]
+        assert mu_hat == results["mu_kappa"][0][i]
+        assert kappa_hat == results["mu_kappa"][1][i]
         assert mle_alpha(row, DESK.gamma, beta_known=DESK.beta) == results["alpha"][i]
         assert mle_beta(row, DESK.gamma, alpha_known=DESK.alpha) == results["beta"][i]
 
@@ -129,19 +122,14 @@ def test_array_fields_fail_as_a_block():
         mle_mu_kappa(
             _stats(S=good, I=np.array([0.0, 1.0]), J=np.array([0.0, 1.0]), K=good, w=1.0), 1.0
         )
-    with pytest.raises(ValueError, match="K must be finite"):
+    with pytest.raises(ValueError, match="statistic K is not finite"):
         _stats(S=good, I=good, J=good, K=np.array([1.0, np.inf]), w=1.0)
-
-
-def test_variant_tag_validation():
-    with pytest.raises(ValueError):
-        DriftEstimate(alpha_hat=1.0, beta_hat=1.0, variant="bogus", horizon=1.0, hurst=0.7, gamma=1.0)
 
 
 def test_loglik_zero_at_reference_parameters():
     grid = SampleGrid(horizon=5.0, n=2**12)
     path = simulate_exact(DESK, grid, seed=400_100)
-    stats = sufficient_stats(path, stride=16)
+    stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
     assert loglik(0.0, 0.0, stats, DESK.gamma) == 0.0
 
 
@@ -150,15 +138,15 @@ def test_mle_maximizes_loglik():
     rng = np.random.default_rng(11)
     for r in range(3):
         path = simulate_exact(DESK, grid, seed=400_200 + r)
-        stats = sufficient_stats(path, stride=16)
-        est = mle_joint(stats, DESK.gamma)
-        top = loglik(est.alpha_hat, est.beta_hat, stats, DESK.gamma)
+        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
+        top = loglik(alpha_hat, beta_hat, stats, DESK.gamma)
         for _ in range(100):
             angle = rng.uniform(0.0, 2.0 * math.pi)
             radius = rng.uniform(0.0, 0.5)
             perturbed = loglik(
-                est.alpha_hat + radius * math.cos(angle),
-                est.beta_hat + radius * math.sin(angle),
+                alpha_hat + radius * math.cos(angle),
+                beta_hat + radius * math.sin(angle),
                 stats,
                 DESK.gamma,
             )
@@ -168,18 +156,18 @@ def test_mle_maximizes_loglik():
 def test_loglik_gradient_vanishes_at_mle():
     grid = SampleGrid(horizon=5.0, n=2**12)
     path = simulate_exact(DESK, grid, seed=400_300)
-    stats = sufficient_stats(path, stride=16)
-    est = mle_joint(stats, DESK.gamma)
+    stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+    alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
     h = 1e-5
     d_alpha = (
-        loglik(est.alpha_hat + h, est.beta_hat, stats, DESK.gamma)
-        - loglik(est.alpha_hat - h, est.beta_hat, stats, DESK.gamma)
+        loglik(alpha_hat + h, beta_hat, stats, DESK.gamma)
+        - loglik(alpha_hat - h, beta_hat, stats, DESK.gamma)
     ) / (2.0 * h)
     d_beta = (
-        loglik(est.alpha_hat, est.beta_hat + h, stats, DESK.gamma)
-        - loglik(est.alpha_hat, est.beta_hat - h, stats, DESK.gamma)
+        loglik(alpha_hat, beta_hat + h, stats, DESK.gamma)
+        - loglik(alpha_hat, beta_hat - h, stats, DESK.gamma)
     ) / (2.0 * h)
-    scale = abs(loglik(est.alpha_hat, est.beta_hat, stats, DESK.gamma)) + 1.0
+    scale = abs(loglik(alpha_hat, beta_hat, stats, DESK.gamma)) + 1.0
     assert abs(d_alpha) < 1e-6 * scale
     assert abs(d_beta) < 1e-6 * scale
 
@@ -193,9 +181,9 @@ def test_joint_consistency_at_long_horizon():
     beta_hats = np.empty(500)
     for r in range(500):
         path = simulate_exact(DESK, grid, seed=210_000 + r)
-        stats = sufficient_stats(path, stride=16)
-        est = mle_joint(stats, DESK.gamma)
-        alpha_hats[r], beta_hats[r] = est.alpha_hat, est.beta_hat
+        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
+        alpha_hats[r], beta_hats[r] = alpha_hat[0], beta_hat[0]
     assert np.median(np.abs(alpha_hats - DESK.alpha)) < 0.5
     assert np.median(np.abs(beta_hats - DESK.beta)) < 0.01
 
@@ -208,8 +196,8 @@ def test_alpha_known_beta_is_exactly_normal_smoke():
     z = np.empty(300)
     for r in range(300):
         path = simulate_exact(DESK, grid, seed=310_000 + r)
-        stats = sufficient_stats(path, stride=16)
-        a_t = mle_alpha(stats, DESK.gamma, beta_known=DESK.beta)
+        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        a_t = mle_alpha(stats, DESK.gamma, beta_known=DESK.beta)[0]
         z[r] = 5.0 ** (1.0 - DESK.hurst) * (a_t - DESK.alpha) / math.sqrt(lam)
     assert abs(z.mean()) < 0.25
     assert 0.85 < z.std(ddof=1) < 1.15
@@ -243,9 +231,9 @@ def test_gamma_recovery_reads_z_alone():
     for n, stride in ((2**12, 16), (2**16, 32)):
         grid = SampleGrid(horizon=2.0, n=n)
         path = simulate_exact(DESK, grid, seed=600_030)
-        engine = shared_engine(grid, DESK.hurst, stride=stride)
+        engine = PanelEngine(grid, DESK.hurst, stride=stride)
         out = engine.statistics(path.values, 1.0)
-        assert estimate_gamma(path, DESK.hurst) == math.sqrt(out["qv"][0] / out["w"])
+        assert estimate_gamma(path, DESK.hurst) == math.sqrt(out.qv[0] / out.w)
         with pytest.raises(ValueError, match="cells"):
             engine.transform(np.diff(path.values)[None, 1:])
 

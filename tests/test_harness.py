@@ -340,18 +340,36 @@ def test_exact_check_passes_at_modest_scale(tmp_path):
 
 
 def test_failure_rate_aborts(tmp_path):
-    # beta T = -750 overflows the exact solution, so every simulation fails
-    cfg = _config(tmp_path, T_list=[1500.0], n_grid=512, replications=30)
+    # a start value of 1e200 overflows I and K, so every replication fails
+    params = dict(DESK_PARAMS, x0=1e200)
+    cfg = _config(tmp_path, params=params, T_list=[5.0], n_grid=512, replications=30)
     with pytest.raises(RuntimeError, match="> 1%"):
         run_experiment(cfg)
 
 
+def test_overflowing_horizons_are_refused(tmp_path):
+    # for beta < 0 the statistics carry exp(2 |beta| T), so |beta| T may reach
+    # about 354.9; paths alone (simulate, or beta > 0) reach about 709.8
+    with pytest.raises(ValueError, match="horizon T = 800 overflows exact-check"):
+        _config(tmp_path, T_list=[2.0, 800.0])
+    with pytest.raises(ValueError, match="horizon T = 1500 overflows simulate"):
+        _config(tmp_path, experiment="simulate", T_list=[1500.0])
+    with pytest.raises(ValueError, match="horizon T = 1500 overflows exact-check"):
+        _config(tmp_path, params=dict(DESK_PARAMS, beta=0.5), T_list=[1500.0])
+    _config(tmp_path, experiment="simulate", T_list=[800.0])
+    _config(tmp_path, T_list=[708.0])
+    ergodic = _config(tmp_path, params=dict(DESK_PARAMS, beta=0.5), T_list=[720.0], n_grid=1024)
+    columns, failures = harness._batch_task(("stats", ergodic, ergodic.params, 720.0, 0, 8))
+    assert failures == [] and np.all(np.isfinite(columns["K"]))
+
+
 def test_non_finite_statistics_fail_the_block_at_stats(tmp_path):
-    # beta T = -400 is within the refusal limit, but the panels of I and K
-    # overflow; every replication of the block fails at stage "stats"
-    cfg = _config(tmp_path, T_list=[800.0], n_grid=1024, replications=64)
+    # a start value of 1e200 is admitted, but the panels of I and K overflow;
+    # every replication of the block fails at stage "stats"
+    params = dict(DESK_PARAMS, x0=1e200)
+    cfg = _config(tmp_path, params=params, T_list=[5.0], n_grid=1024, replications=64)
     with np.errstate(over="ignore"):
-        columns, failures = harness._batch_task(("stats", cfg, cfg.params, 800.0, 0, 8))
+        columns, failures = harness._batch_task(("stats", cfg, cfg.params, 5.0, 0, 8))
     assert all(col.size == 0 for col in columns.values())
     message = "ValueError: statistic I is not finite on 8 of 8 paths"
     assert failures == [(rep, "stats", message) for rep in range(8)]

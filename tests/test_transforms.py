@@ -19,7 +19,7 @@ from fracvas.transforms import (
     quadratic_variation,
     reconstruct_X,
     refinement_check,
-    sufficient_stats,
+    shared_engine,
 )
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
@@ -152,11 +152,11 @@ def test_constant_path_closed_forms():
     w_T = constants(0.7, 1.0).w(5.0)
     c = 1.7
     out = eng.statistics(np.full((1, grid.n + 1), c), 2.0)
-    assert out["S"][0] == 0.0
-    assert out["I"][0] == 0.0
-    assert out["J"][0] == pytest.approx(c * w_T / 2.0, rel=1e-4)
-    assert out["K"][0] == pytest.approx(c * c * w_T / 4.0, rel=1e-4)
-    assert out["w"] == pytest.approx(w_T, rel=1e-12)
+    assert out.S[0] == 0.0
+    assert out.I[0] == 0.0
+    assert out.J[0] == pytest.approx(c * w_T / 2.0, rel=1e-4)
+    assert out.K[0] == pytest.approx(c * c * w_T / 4.0, rel=1e-4)
+    assert out.w == pytest.approx(w_T, rel=1e-12)
 
 
 def test_statistics_refuse_non_finite_outputs():
@@ -172,7 +172,7 @@ def test_statistics_refuse_non_finite_outputs():
         with pytest.raises(ValueError, match="statistic I is not finite on 1 of 1 paths"):
             eng.statistics(1e200 * values, DESK.gamma)
     out = eng.statistics(values, DESK.gamma)
-    assert all(np.all(np.isfinite(out[key])) for key in ("S", "I", "J", "K", "w", "qv"))
+    assert all(np.all(np.isfinite(getattr(out, key))) for key in ("S", "I", "J", "K", "w", "qv"))
 
 
 def test_statistics_name_an_overflow_without_warning():
@@ -183,6 +183,18 @@ def test_statistics_name_an_overflow_without_warning():
     values = simulate_exact(DESK, grid, seed=5).values[None, :]
     with pytest.raises(ValueError, match="statistic I is not finite on 1 of 1 paths"):
         eng.statistics(1e200 * values, DESK.gamma)
+
+
+def test_shared_engine_reuses_a_few_engines():
+    # equal (grid, H) keys share one engine; at most 3 stay cached, and the
+    # least recently used one is rebuilt after four other keys
+    first = shared_engine(SampleGrid(horizon=1.0, n=64), 0.7)
+    assert shared_engine(SampleGrid(horizon=1.0, n=64), 0.7) is first
+    assert first.stride == 16
+    for hurst in (0.6, 0.65, 0.75, 0.8):
+        shared_engine(SampleGrid(horizon=1.0, n=64), hurst)
+        assert shared_engine.cache_info().currsize <= 3
+    assert shared_engine(SampleGrid(horizon=1.0, n=64), 0.7) is not first
 
 
 def test_dense_weights_skip_the_zeros_past_each_output_time():
@@ -215,7 +227,7 @@ def test_martingale_identity_on_mean_path():
     mean_path = DESK.x0 * np.exp(-DESK.beta * t) + DESK.mean_level * (1.0 - np.exp(-DESK.beta * t))
     eng = PanelEngine(grid, DESK.hurst, stride=16)
     out = eng.statistics(mean_path[None, :], DESK.gamma)
-    m = out["S"][0] + DESK.beta * out["J"][0] - DESK.alpha / DESK.gamma * out["w"]
+    m = out.S[0] + DESK.beta * out.J[0] - DESK.alpha / DESK.gamma * out.w
     assert abs(m) < 1e-3
 
 
@@ -228,8 +240,8 @@ def test_martingale_statistic_is_standard_normal_smoke():
     z = np.empty(300)
     for r in range(300):
         path = simulate_exact(DESK, grid, seed=778_000_000 + r)
-        stats = sufficient_stats(path, stride=16)
-        z[r] = martingale_M(stats, DESK) / math.sqrt(w_T)
+        stats = eng.statistics(path.values, DESK.gamma)
+        z[r] = martingale_M(stats, DESK)[0] / math.sqrt(w_T)
     assert abs(z.mean()) < 0.25
     assert 0.85 < z.std(ddof=1) < 1.15
 
@@ -237,14 +249,8 @@ def test_martingale_statistic_is_standard_normal_smoke():
 def test_sufficient_stats_match_engine_dict():
     grid = SampleGrid(horizon=5.0, n=2**12)
     path = simulate_exact(DESK, grid, seed=31)
-    stats = sufficient_stats(path, stride=16)
     eng = PanelEngine(grid, DESK.hurst, stride=16)
-    out = eng.statistics(path.values[None, :], DESK.gamma)
-    assert stats.S == out["S"][0]
-    assert stats.I == out["I"][0]
-    assert stats.J == out["J"][0]
-    assert stats.K == out["K"][0]
-    assert stats.w == out["w"]
+    stats = eng.statistics(path.values[None, :], DESK.gamma)
     m = martingale_M(stats, DESK)
     assert m == pytest.approx(stats.S + DESK.beta * stats.J - DESK.alpha / DESK.gamma * stats.w, rel=1e-15)
 
@@ -254,7 +260,7 @@ def test_cauchy_schwarz_between_stats():
     grid = SampleGrid(horizon=5.0, n=2**13)
     for r in range(20):
         path = simulate_exact(DESK, grid, seed=90_000 + r)
-        stats = sufficient_stats(path, stride=16)
+        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
         assert stats.J ** 2 <= stats.w * stats.K
         assert stats.K > 0.0
 
