@@ -326,7 +326,9 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
     # fetched before the block's paths exist, so a first (dense) engine
     # build does not hold them in memory
     engine = shared_engine(grid, params.hurst) if mode.startswith("stats") else None
-    reps, seeds, h_hats, g_hats, values = [], [], [], [], []
+    # surviving paths fill the block's rows in order, so no per-path list is copied
+    values = np.empty((hi - lo, grid.n + 1)) if engine is not None else None
+    reps, seeds, h_hats, g_hats = [], [], [], []
     failures: list[tuple[int, str, str]] = []
     for rep in range(lo, hi):
         seed = replication_seed(config.master_seed, rep)
@@ -347,8 +349,8 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
         if mode == "paths":
             out = os.path.join(config.output_dir, _path_csv_name(T, rep))
             _write_csv(out, {"t": None, "value": path.values}, _path_rows(grid))
-        elif mode.startswith("stats"):
-            values.append(path.values)
+        elif engine is not None:
+            values[len(reps) - 1] = path.values
         if mode == "stats+est":
             try:
                 h_hats.append(estimate_hurst(path))
@@ -367,7 +369,7 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
 
     stage = "stats"
     try:
-        stats = engine.statistics(np.reshape(values, (len(reps), grid.n + 1)), params.gamma)
+        stats = engine.statistics(values[: len(reps)], params.gamma)
         columns.update(S=stats.S, I=stats.I, J=stats.J, K=stats.K, w=np.full(len(reps), stats.w))
         if mode == "stats+est":
             g = params.gamma

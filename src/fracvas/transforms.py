@@ -12,8 +12,10 @@ and the horizon statistics
     J_T = F_T / gamma,      I_T = int_0^T P dS,      K_T = int_0^T P^2 dw.
 
 Numerics: integrals against the path are Riemann-Stieltjes product sums on
-the path cells, with one weight definition per (grid, H, stride) that
-PanelEngine applies in one of two ways.  Interior cells use the kernel
+the path cells, with one weight definition per (n, H, stride) that
+PanelEngine applies in one of two ways.  k is homogeneous of degree 1 - 2H,
+so the weights are built once at unit spacing, shared by every horizon on
+n cells, and scaled by dt^{1-2H}.  Interior cells use the kernel
 midpoint value; the two endpoint cells of every output time, where k has
 the integrable singularities s^{1/2-H} and (t-s)^{1/2-H}, use exact
 Gauss-Jacobi cell integrals with those weights.  At H = 1/2 the scheme is
@@ -155,18 +157,68 @@ class SufficientStats:
             raise ValueError(f"w must be positive, got {self.w}")
 
 
+@functools.lru_cache(maxsize=3)
+def _unit_weights(n: int, hurst: float, stride: int, dense: bool) -> tuple[np.ndarray, ...]:
+    """PanelEngine weights at unit spacing (dt = 1) without the 1/kappa, read-only.
+
+    Dense: the staircase row blocks.  Else the FFT pieces (m_pow, last,
+    first_fix, last_fix, rfft of m_pow).  Cached, because at n = 8192 the dense blocks
+    (18 MiB at stride 16) cost far more to build than to apply, and every
+    horizon on n cells shares them.
+    """
+    a = 0.5 - hurst
+    m = n // stride
+    m_pow = (np.arange(n) + 0.5) ** a
+    last = np.arange(1, m + 1) * stride - 1
+    # end cells: exact Gauss-Jacobi cell average minus the midpoint value
+    v_l, wt_l = _jacobi_rule_01(_END_RULE_NODES, a, 0.0)
+    v_r, wt_r = _jacobi_rule_01(_END_RULE_NODES, 0.0, a)
+    t_col = (last + 1.0)[:, None]
+    mid = m_pow[0] * m_pow[last]
+    first_fix = (t_col - v_l[None, :]) ** a @ wt_l - mid
+    last_fix = ((t_col - 1.0) + v_r[None, :]) ** a @ wt_r - mid
+    if stride == 1:
+        # single-cell row: both singular ends in one cell, exact Beta value
+        first_fix[0] = math.exp(2.0 * log_gamma(1.0 + a) - log_gamma(2.0 + 2.0 * a)) - mid[0]
+        last_fix[0] = 0.0
+
+    if dense:
+        # row j reads m_pow backwards from its last cell, zeros past it;
+        # each row block keeps only the columns up to its last row's cell
+        reversed_pad = np.concatenate([m_pow[::-1], np.zeros(n)])
+        hankel = np.lib.stride_tricks.sliding_window_view(reversed_pad, n)
+        edges = sorted({m * k // _DENSE_ROW_BLOCKS for k in range(_DENSE_ROW_BLOCKS + 1)})
+        weights = []
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            cols = r1 * stride
+            block = hankel[n - 1 - last[r0:r1], :cols]
+            block *= m_pow[:cols]
+            block[:, 0] += first_fix[r0:r1]
+            block[np.arange(r1 - r0), last[r0:r1]] += last_fix[r0:r1]
+            weights.append(block)
+    else:
+        spectrum = sfft.rfft(m_pow, sfft.next_fast_len(2 * n - 1))
+        weights = [m_pow, last, first_fix, last_fix, spectrum]
+    for array in weights:
+        array.flags.writeable = False
+    return tuple(weights)
+
+
 class PanelEngine:
-    """Kernel-weight quadrature for one (grid, H, stride), built once.
+    """Kernel-weight quadrature for one (grid, H, stride).
 
     Row j of the weights is output time t_j = j * stride * dt and holds the
     kernel on the path cells below it: the midpoint value m_pow[i] *
     m_pow[j*stride - 1 - i] / kappa with m_pow = mids^(1/2-H), corrected
     to the exact Gauss-Jacobi cell average on the row's first and last cell.
-    One weight definition, two ways to apply it: when it is small, dense
-    row blocks that each store only the columns up to their last row's
-    cell (the zeros above the staircase are neither stored nor multiplied);
-    else an FFT convolution of the cells with m_pow (spectrum cached) plus
-    the two corrections.  One engine serves a Monte Carlo loop.
+    The engine holds the read-only weights at unit spacing, shared by every
+    engine with the same (n, H, stride), and multiplies its output by
+    dt^(1-2H) / kappa.  One weight definition, two ways to apply it: when
+    it is small, dense row blocks that each store only the columns up to
+    their last row's cell (the zeros above the staircase are neither stored
+    nor multiplied); else an FFT convolution of the cells with m_pow
+    (spectrum cached) plus the two corrections.  One engine serves a Monte
+    Carlo loop.
     """
 
     def __init__(self, grid: SampleGrid, hurst: float, stride: int = _DEFAULT_STRIDE) -> None:
@@ -184,47 +236,18 @@ class PanelEngine:
         self.kc = constants(hurst, 1.0)
         self.inner_times = grid.times()[::stride]  # includes t=0
         self.w_inner = self.kc.w(self.inner_times)
-
-        a = 0.5 - hurst
-        dt = grid.dt
-        m_pow = ((np.arange(n) + 0.5) * dt) ** a
-        last = np.arange(1, m + 1) * stride - 1
-        # end cells: exact Gauss-Jacobi cell average minus the midpoint value
-        v_l, wt_l = _jacobi_rule_01(_END_RULE_NODES, a, 0.0)
-        v_r, wt_r = _jacobi_rule_01(_END_RULE_NODES, 0.0, a)
-        t_col = self.inner_times[1:, None]
-        mid = m_pow[0] * m_pow[last]
-        first_fix = dt**a * ((t_col - dt * v_l[None, :]) ** a @ wt_l) - mid
-        last_fix = dt**a * (((t_col - dt) + dt * v_r[None, :]) ** a @ wt_r) - mid
-        if stride == 1:
-            # single-cell row: both singular ends in one cell, exact Beta value
-            b_exact = math.exp(2.0 * log_gamma(1.0 + a) - log_gamma(2.0 + 2.0 * a))
-            first_fix[0] = dt ** (2.0 * a) * b_exact - mid[0]
-            last_fix[0] = 0.0
-
-        if m * n <= _MAX_DENSE_CELLS:
-            # row j reads m_pow backwards from its last cell, zeros past it;
-            # each row block keeps only the columns up to its last row's cell
-            reversed_pad = np.concatenate([m_pow[::-1], np.zeros(n)])
-            hankel = np.lib.stride_tricks.sliding_window_view(reversed_pad, n)
-            edges = sorted({m * k // _DENSE_ROW_BLOCKS for k in range(_DENSE_ROW_BLOCKS + 1)})
-            self._weights = []
-            for r0, r1 in zip(edges[:-1], edges[1:]):
-                cols = r1 * stride
-                block = hankel[n - 1 - last[r0:r1], :cols]
-                block *= m_pow[:cols]
-                block[:, 0] += first_fix[r0:r1]
-                block[np.arange(r1 - r0), last[r0:r1]] += last_fix[r0:r1]
-                block /= self.kc.kappa
-                self._weights.append(block)
+        # k is homogeneous of degree 1 - 2H: unit-spacing weights times dt^(1-2H)
+        self._scale = grid.dt ** (1.0 - 2.0 * hurst) / self.kc.kappa
+        dense = m * n <= _MAX_DENSE_CELLS
+        weights = _unit_weights(n, hurst, stride, dense)
+        if dense:
+            self._weights = weights
         else:
             self._weights = None
-            self._m_pow = m_pow
-            self._last = last
-            self._first_fix = first_fix
-            self._last_fix = last_fix
+            self._m_pow, self._last, self._first_fix, self._last_fix, self._kernel_spectrum = (
+                weights
+            )
             self._fft_len = sfft.next_fast_len(2 * n - 1)
-            self._kernel_spectrum = sfft.rfft(m_pow, self._fft_len)
 
     def transform(self, cells: np.ndarray) -> np.ndarray:
         """Row sums of the weights against per-cell data, one row per path.
@@ -241,13 +264,14 @@ class PanelEngine:
                 r1 = r0 + block.shape[0]
                 out[:, r0:r1] = cells[:, : block.shape[1]] @ block.T
                 r0 = r1
-            return out
-        spectrum = sfft.rfft(cells * self._m_pow, self._fft_len, axis=1)
-        spectrum *= self._kernel_spectrum
-        out = sfft.irfft(spectrum, self._fft_len, axis=1)[:, self._last]
-        out += self._first_fix * cells[:, :1]
-        out += self._last_fix * cells[:, self._last]
-        return out / self.kc.kappa
+        else:
+            spectrum = sfft.rfft(cells * self._m_pow, self._fft_len, axis=1)
+            spectrum *= self._kernel_spectrum
+            out = sfft.irfft(spectrum, self._fft_len, axis=1)[:, self._last]
+            out += self._first_fix * cells[:, :1]
+            out += self._last_fix * cells[:, self._last]
+        out *= self._scale
+        return out
 
     def raw_panels(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Z, F) panels for a batch of paths, inner times including t=0.
@@ -256,13 +280,16 @@ class PanelEngine:
         F is the ds transform of the path itself.
         """
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        dx = np.diff(values, axis=1)
-        xmid = 0.5 * (values[:, 1:] + values[:, :-1]) * self.grid.dt
         r = values.shape[0]
         z = np.zeros((r, self.n_inner + 1))
         f = np.zeros((r, self.n_inner + 1))
-        z[:, 1:] = self.transform(dx)
-        f[:, 1:] = self.transform(xmid)
+        # one cell buffer: the increments, then the midpoint values times dt
+        cells = np.diff(values, axis=1)
+        z[:, 1:] = self.transform(cells)
+        np.add(values[:, 1:], values[:, :-1], out=cells)
+        cells *= 0.5
+        cells *= self.grid.dt
+        f[:, 1:] = self.transform(cells)
         return z, f
 
     def derivative_panel(self, f: np.ndarray, gamma: float) -> np.ndarray:
@@ -322,10 +349,10 @@ def quadratic_variation(panel: np.ndarray) -> np.ndarray:
 def shared_engine(grid: SampleGrid, hurst: float) -> PanelEngine:
     """Engine for (grid, H) at the default stride, reused across calls.
 
-    The dense weight blocks (18 MiB at n = 8192, stride 16) cost far more
-    to build than to apply, so Monte Carlo loops must not rebuild them per
-    path.  Engines are immutable after construction; the cache holds a few
-    of them (simulation plus estimation configurations).
+    Engines are immutable after construction; the cache holds a few of them
+    (simulation plus estimation configurations).  The costly part, the
+    weights, is cached per (n, H, stride) underneath, so engines for other
+    horizons on the same n share it.
     """
     return PanelEngine(grid, hurst)
 

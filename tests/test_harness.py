@@ -21,6 +21,7 @@ from fracvas.harness import (
 )
 from fracvas.limits import law_beta_limit, ratio_cdf, vector_limit
 from fracvas.model import ModelParams, simulate_exact
+from fracvas.transforms import shared_engine
 
 DESK_PARAMS = {"alpha": 1.0, "beta": -0.5, "gamma": 1.0, "hurst": 0.7, "x0": 0.3}
 
@@ -398,6 +399,30 @@ def test_block_failed_at_stats_within_budget(tmp_path, monkeypatch):
     lines = (tmp_path / "out" / "stats_T2.csv").read_text().strip().splitlines()
     assert len(lines) == 100 and lines[1].startswith("1,")
     assert report.rows[0].n_reps == 99
+
+
+def test_stats_block_keeps_the_surviving_paths_in_order(tmp_path, monkeypatch):
+    # a replication that fails to simulate in the middle of a block leaves
+    # no row behind: the block's statistics are those of the surviving
+    # paths stacked in replication order, bit for bit
+    real = harness.simulate_exact
+    cfg = _config(tmp_path, replications=8)
+
+    def failing(params, grid, seed):
+        if seed == replication_seed(7, 3):
+            raise RuntimeError("injected")
+        return real(params, grid, seed=seed)
+
+    monkeypatch.setattr(harness, "simulate_exact", failing)
+    columns, failures = harness._batch_task(("stats", cfg, cfg.params, 2.0, 0, 8))
+    assert columns["replication"].tolist() == [0, 1, 2, 4, 5, 6, 7]
+    assert failures == [(3, "simulate", "RuntimeError: injected")]
+    grid = SampleGrid(horizon=2.0, n=512)
+    seeds = [replication_seed(7, rep) for rep in columns["replication"]]
+    values = np.stack([real(cfg.params, grid, seed=seed).values for seed in seeds])
+    stats = shared_engine(grid, cfg.params.hurst).statistics(values, cfg.params.gamma)
+    for name in ("S", "I", "J", "K"):
+        assert columns[name].tobytes() == getattr(stats, name).tobytes()
 
 
 def test_mgf_check_refuses_ergodic_beta(tmp_path):

@@ -206,6 +206,32 @@ def test_dense_weights_skip_the_zeros_past_each_output_time():
     assert stored <= 0.6 * eng.n_inner * grid.n
 
 
+def test_horizons_on_one_grid_size_share_the_unit_weights(monkeypatch):
+    # k is homogeneous of degree 1 - 2H, so engines at T = 6 and T = 12 on
+    # n = 8192 cells hold the same read-only weights and their transforms
+    # of the same cells differ by the factor (12/6)^(1-2H)
+    hurst = 0.7
+    rng = np.random.default_rng(11)
+    cells = rng.standard_normal((2, 8192))
+    for dense_cells, dense in ((transforms._MAX_DENSE_CELLS, True), (1, False)):
+        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
+        short = PanelEngine(SampleGrid(horizon=6.0, n=8192), hurst)
+        long = PanelEngine(SampleGrid(horizon=12.0, n=8192), hurst)
+        if dense:
+            assert len(long._weights) == 8
+            assert all(a is b for a, b in zip(short._weights, long._weights))
+            stored = long._weights
+        else:
+            assert long._weights is None and long._m_pow is short._m_pow
+            stored = (long._m_pow, long._last, long._first_fix, long._last_fix)
+            stored += (long._kernel_spectrum,)
+        for array in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        ratio = long.transform(cells) / short.transform(cells)
+        np.testing.assert_allclose(ratio, 2.0 ** (1.0 - 2.0 * hurst), rtol=1e-14, atol=0.0)
+
+
 def test_brownian_case_is_exact_on_interpolants():
     # At H = 1/2 the kernel is 1 and w(t) = t, so on the piecewise-linear
     # interpolant S must equal the increment sum and F the trapezoid integral.
