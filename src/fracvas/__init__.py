@@ -10,19 +10,17 @@ from .estimators import (
     DegenerateStatsError,
     estimate_gamma,
     estimate_hurst,
-    loglik,
     mle_alpha,
     mle_beta,
     mle_joint,
     mle_mu_kappa,
 )
-from .fbm import FbmPath, SampleGrid, exact_gaussian_oracle, fbm_cov, generate_fbm
+from .fbm import FbmPath, SampleGrid, generate_fbm
 from .harness import ExperimentConfig, TestReport, ks_test, replication_seed, run_experiment
 from .limits import (
     NormalLaw,
     RatioLaw,
     ScaledChiSquareLaw,
-    VectorLimit,
     ZetaLaw,
     law_alpha_limit,
     law_beta_limit,
@@ -31,29 +29,13 @@ from .limits import (
     law_J_limit_identity,
     law_mu_kappa_limit,
     law_S_limit,
-    law_xi_limit,
     ratio_cdf,
-    sample_limit,
     special_case_ratio,
-    vector_limit,
     zeta_law,
 )
-from .mgf import (
-    MgfDomainError,
-    mgf1_domain_boundary,
-    mgf1_log,
-    mgf2_log,
-    mgf_product_bivariate,
-    mgf_quadratic_pair,
-)
-from .model import ModelParams, VasicekPath, simulate_euler, simulate_exact
-from .transforms import (
-    PanelEngine,
-    SufficientStats,
-    constants,
-    martingale_M,
-    shared_engine,
-)
+from .mgf import MgfDomainError, mgf1_domain_boundary, mgf1_log, mgf2_log
+from .model import ModelParams, VasicekPath, simulate_exact
+from .transforms import PanelEngine, SufficientStats, constants, shared_engine
 
 __all__ = [
     "DegenerateStatsError",
@@ -69,13 +51,10 @@ __all__ = [
     "SufficientStats",
     "TestReport",
     "VasicekPath",
-    "VectorLimit",
     "ZetaLaw",
     "constants",
     "estimate_gamma",
     "estimate_hurst",
-    "exact_gaussian_oracle",
-    "fbm_cov",
     "generate_fbm",
     "ks_test",
     "law_I_limit",
@@ -85,14 +64,9 @@ __all__ = [
     "law_alpha_limit",
     "law_beta_limit",
     "law_mu_kappa_limit",
-    "law_xi_limit",
-    "loglik",
-    "martingale_M",
     "mgf1_domain_boundary",
     "mgf1_log",
     "mgf2_log",
-    "mgf_product_bivariate",
-    "mgf_quadratic_pair",
     "mle_alpha",
     "mle_beta",
     "mle_joint",
@@ -100,11 +74,8 @@ __all__ = [
     "ratio_cdf",
     "replication_seed",
     "run_experiment",
-    "sample_limit",
     "shared_engine",
-    "simulate_euler",
     "simulate_exact",
     "special_case_ratio",
-    "vector_limit",
     "zeta_law",
 ]

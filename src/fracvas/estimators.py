@@ -1,4 +1,4 @@
-"""Drift MLEs, the log-likelihood, and noise-parameter recovery.
+"""Drift MLEs and noise-parameter recovery.
 
 All drift estimators are algebraic functions of the sufficient statistics
 (S, I, J, K, w) in the SufficientStats record of PanelEngine.statistics,
@@ -13,7 +13,7 @@ the two joint forms:
     known alpha: beta_tilde = ((alpha / gamma) J - I) / K
     mean-level form: mu_hat = gamma (S K - I J) / (S J - w I), kappa_hat = beta_hat
 
-and the log-likelihood ratio against the zero-drift measure is
+which maximize the log-likelihood ratio against the zero-drift measure,
 
     (alpha/gamma) S - beta I - alpha^2 w / (2 gamma^2)
         + (alpha beta / gamma) J - beta^2 K / 2.
@@ -90,17 +90,6 @@ def mle_mu_kappa(stats: SufficientStats, gamma: float) -> tuple:
         raise DegenerateStatsError("S J - w I = 0; mean level is unidentified")
     mu_hat = gamma * (stats.S * stats.K - stats.I * stats.J) / mu_denom
     return _finite("mu_hat", mu_hat), _finite("kappa_hat", mu_denom / denom)
-
-
-def loglik(alpha: float, beta: float, stats: SufficientStats, gamma: float) -> float:
-    """Log density ratio of the (alpha, beta) drift against zero drift."""
-    return (
-        alpha / gamma * stats.S
-        - beta * stats.I
-        - alpha**2 / (2.0 * gamma**2) * stats.w
-        + alpha * beta / gamma * stats.J
-        - beta**2 / 2.0 * stats.K
-    )
 
 
 def _path_arrays(path) -> tuple[np.ndarray, object]:

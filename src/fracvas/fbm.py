@@ -6,8 +6,7 @@ Gaussian noise autocovariance is diagonalized by the FFT, nonnegative
 eigenvalues are required (tiny negative values from rounding are clipped),
 and their square roots are cached per (n, H).  One complex Gaussian draw
 per frequency of the half spectrum and one inverse real FFT synthesize an
-exact sample in O(n log n).  A dense covariance square-root sampler is kept
-as an independent oracle for tests at small n.
+exact sample in O(n log n).
 
 Paths are pinned to value 0 at t = 0 and are exact in distribution at the
 grid times; unit-spacing noise is rescaled by dt^H (self-similarity).
@@ -20,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SampleGrid",
-    "FbmPath",
-    "FbmEmbeddingError",
-    "fbm_cov",
-    "generate_fbm",
-    "exact_gaussian_oracle",
-]
+__all__ = ["SampleGrid", "FbmPath", "FbmEmbeddingError", "generate_fbm"]
 
 _EIGENVALUE_CLIP_RTOL = 1e-10
-_ORACLE_MAX_CELLS = 2048
 
 
 class FbmEmbeddingError(RuntimeError):
@@ -76,15 +67,6 @@ def _check_hurst(hurst: float) -> None:
         raise ValueError(f"Hurst index must lie in (0, 1), got {hurst!r}")
 
 
-def fbm_cov(s: float, t: float, hurst: float) -> float:
-    """Cov(B^H_s, B^H_t) = (s^2H + t^2H - |t-s|^2H) / 2."""
-    _check_hurst(hurst)
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    h2 = 2.0 * hurst
-    return 0.5 * (s**h2 + t**h2 - abs(t - s) ** h2)
-
-
 def _fgn_unit_autocov(n: int, hurst: float) -> np.ndarray:
     # Autocovariance of unit-spacing fractional Gaussian noise at lags 0..n.
     k = np.arange(n + 1, dtype=float)
@@ -124,22 +106,3 @@ def generate_fbm(hurst: float, grid: SampleGrid, seed: int) -> FbmPath:
     noise_unit = np.fft.irfft(half, 2 * n)[:n]
     values = np.concatenate([[0.0], np.cumsum(noise_unit) * grid.dt**hurst])
     return FbmPath(grid=grid, hurst=hurst, values=values)
-
-
-def exact_gaussian_oracle(hurst: float, grid: SampleGrid, seed: int) -> FbmPath:
-    """Dense covariance square-root sampler; test oracle, n <= 2048 only."""
-    _check_hurst(hurst)
-    if grid.n > _ORACLE_MAX_CELLS:
-        raise ValueError(f"oracle limited to n <= {_ORACLE_MAX_CELLS}")
-    t = grid.times()[1:]
-    h2 = 2.0 * hurst
-    s_col = t[:, None]
-    t_row = t[None, :]
-    cov = 0.5 * (s_col**h2 + t_row**h2 - np.abs(t_row - s_col) ** h2)
-    root = np.linalg.cholesky(cov)
-    rng = np.random.default_rng(seed)
-    values = np.empty(grid.n + 1)
-    values[0] = 0.0
-    values[1:] = root @ rng.standard_normal(grid.n)
-    return FbmPath(grid=grid, hurst=hurst, values=values)
-

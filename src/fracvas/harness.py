@@ -56,7 +56,6 @@ from .limits import (
     NormalLaw,
     RatioLaw,
     ScaledChiSquareLaw,
-    ZetaLaw,
     law_alpha_limit,
     law_beta_limit,
     law_I_limit,
@@ -124,6 +123,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
+        if not isinstance(self.params, ModelParams):
+            raise ValueError(f"params must be a ModelParams, got {self.params!r}")
         if isinstance(self.T_list, str):
             raise ValueError(f"T_list must be a list of horizons, not the string {self.T_list!r}")
         if not np.iterable(self.T_list):
@@ -265,7 +266,7 @@ def law_cdf(law) -> "callable":
     """Vectorized CDF callable for any limit law with a distribution function."""
     if isinstance(law, RatioLaw):
         return lambda x: ratio_cdf(x, law)
-    if isinstance(law, (NormalLaw, ZetaLaw, ScaledChiSquareLaw)):
+    if isinstance(law, (NormalLaw, ScaledChiSquareLaw)):
         return law.cdf
     raise TypeError(f"no distribution function for {type(law).__name__}")
 

@@ -47,22 +47,13 @@ class NormalLaw:
 
 
 @dataclass(frozen=True)
-class ZetaLaw:
-    """Normal denominator block; its mean carries the start-level offset."""
-
-    mean: float
-    variance: float
+class ZetaLaw(NormalLaw):
+    """Normal denominator block, refused unless its variance is positive;
+    its mean carries the start-level offset."""
 
     def __post_init__(self) -> None:
         if not self.variance > 0.0:
             raise ValueError(f"variance must be positive, got {self.variance!r}")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def cdf(self, x) -> np.ndarray | float:
-        return norm.cdf(x, loc=self.mean, scale=self.std)
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,7 @@ class RatioLaw:
     """eta / zeta with eta standard normal independent of zeta.
 
     Heavy-tailed (Cauchy-type when zeta is centered): no moments exist,
-    so the law is exposed through cdf and sampling only.
+    so the law is exposed through its cdf only.
     """
 
     zeta: ZetaLaw
@@ -96,17 +87,6 @@ class ScaledChiSquareLaw:
         m, s = self.zeta.mean, self.zeta.std
         out = norm.cdf((root - m) / s) - norm.cdf((-root - m) / s)
         return np.where(y > 0.0, out, 0.0)[()]
-
-
-@dataclass(frozen=True)
-class VectorLimit:
-    """Joint limit (xi, eta*zeta, zeta^2) with xi, eta, zeta independent.
-
-    The middle component given zeta is N(0, zeta^2) by construction.
-    """
-
-    xi: NormalLaw
-    zeta: ZetaLaw
 
 
 def zeta_law(params: ModelParams) -> ZetaLaw:
@@ -182,17 +162,6 @@ def law_beta_limit(params: ModelParams) -> RatioLaw:
     return RatioLaw(zeta=zeta_law(params))
 
 
-def law_xi_limit(params: ModelParams) -> NormalLaw:
-    """Limit (exact at every horizon) of T^(H-1) times the core martingale."""
-    _require_nonergodic(params.beta, "beta")
-    kc = constants(params.hurst, params.gamma)
-    return NormalLaw(mean=0.0, variance=1.0 / kc.lam)
-
-
-def vector_limit(params: ModelParams) -> VectorLimit:
-    return VectorLimit(xi=law_xi_limit(params), zeta=zeta_law(params))
-
-
 def special_case_ratio(hurst: float) -> RatioLaw:
     """Ratio law of X sqrt(sin pi H) / Y for independent standard normals.
 
@@ -236,30 +205,3 @@ def ratio_cdf(z, law: RatioLaw) -> np.ndarray | float:
         q = 1.0 / (np.abs(z) * s)
     t = owens_t(abs(m) / s / np.hypot(1.0, q), q)
     return np.where(z >= 0.0, 1.0 - 2.0 * t, 2.0 * t)[()]
-
-
-def sample_limit(law, seed: int, count: int) -> np.ndarray:
-    """i.i.d. draws from any of the limit laws, deterministic in (seed, count).
-
-    VectorLimit returns shape (count, 3) with columns (xi, eta zeta,
-    zeta^2); everything else returns shape (count,).  Component draws use
-    a fixed order, so a given seed always yields the same sample.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([0x4C494D, int(seed)]))
-    if isinstance(law, (NormalLaw, ZetaLaw)):
-        return law.mean + law.std * rng.standard_normal(count)
-    if isinstance(law, RatioLaw):
-        eta = rng.standard_normal(count)
-        zeta = law.zeta.mean + law.zeta.std * rng.standard_normal(count)
-        return eta / zeta
-    if isinstance(law, ScaledChiSquareLaw):
-        zeta = law.zeta.mean + law.zeta.std * rng.standard_normal(count)
-        return law.scale * zeta**2
-    if isinstance(law, VectorLimit):
-        xi = law.xi.mean + law.xi.std * rng.standard_normal(count)
-        eta = rng.standard_normal(count)
-        zeta = law.zeta.mean + law.zeta.std * rng.standard_normal(count)
-        return np.column_stack([xi, eta * zeta, zeta**2])
-    raise TypeError(f"no sampler for {type(law).__name__}")

@@ -153,31 +153,6 @@ def mgf2_log(
     )
 
 
-def mgf_product_bivariate(t: float, m1: float, m2: float, s1: float, s2: float, r: float) -> float:
-    """E exp(t X Y) for jointly normal X, Y with means m1, m2, spreads
-    s1, s2 and correlation r."""
-    if not (s1 >= 0.0 and s2 >= 0.0):
-        raise ValueError("spreads must be nonnegative")
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {r!r}")
-    gate = (1.0 - (1.0 + r) * s1 * s2 * t) * (1.0 + (1.0 - r) * s1 * s2 * t)
-    if not gate > 0.0:
-        raise MgfDomainError(f"argument outside the domain: gate = {gate}")
-    top = (m1**2 * s2**2 + m2**2 * s1**2 - 2.0 * r * m1 * m2 * s1 * s2) * t**2 + 2.0 * m1 * m2 * t
-    return gate**-0.5 * math.exp(top / (2.0 * gate))
-
-
-def mgf_quadratic_pair(theta1: float, theta2: float, m: float, sigma: float) -> float:
-    """E exp(theta1 X Y + theta2 X^2), X ~ N(m, sigma^2), Y ~ N(0,1) indep."""
-    if not sigma >= 0.0:
-        raise ValueError("sigma must be nonnegative")
-    load = theta1**2 + 2.0 * theta2
-    gate = 1.0 - sigma**2 * load
-    if not gate > 0.0:
-        raise MgfDomainError(f"argument outside the domain: gate = {gate}")
-    return gate**-0.5 * math.exp(m**2 * load / (2.0 * gate))
-
-
 def mgf1_domain_boundary(
     params: ModelParams,
     horizon: float,

@@ -7,8 +7,7 @@ simulate_exact evaluates the explicit solution
 
 with the stochastic convolution rewritten by integration by parts as
 B_t - beta e^{-beta t} int_0^t e^{beta s} B_s ds and the remaining smooth
-integral done by cumulative trapezoid quadrature.  simulate_euler is the
-first-order scheme on the same driver, kept as a coupling oracle for tests.
+integral done by cumulative trapezoid quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .fbm import FbmPath, SampleGrid, generate_fbm
 
-__all__ = ["ModelParams", "VasicekPath", "simulate_exact", "simulate_euler"]
+__all__ = ["ModelParams", "VasicekPath", "simulate_exact"]
 
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)  # exp overflows past this
 
@@ -115,25 +114,4 @@ def simulate_exact(
     values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
     if not np.all(np.isfinite(values)):
         raise _overflow_error(beta * grid.horizon)
-    return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)
-
-
-def simulate_euler(
-    params: ModelParams,
-    grid: SampleGrid,
-    seed: int | None = None,
-    driver: FbmPath | None = None,
-) -> VasicekPath:
-    """Euler scheme on the same driver; test oracle with O(dt) strong error."""
-    noise, used_seed = _resolve_driver(params, grid, seed, driver)
-    dt = grid.dt
-    dnoise = np.diff(noise)
-    values = np.empty(grid.n + 1)
-    values[0] = params.x0
-    x = params.x0
-    drift_const = params.alpha * dt
-    decay_step = 1.0 - params.beta * dt
-    for i in range(grid.n):
-        x = x * decay_step + drift_const + params.gamma * dnoise[i]
-        values[i + 1] = x
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)

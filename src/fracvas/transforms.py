@@ -45,21 +45,15 @@ from scipy import fft as sfft
 from scipy.special import roots_jacobi
 
 from .fbm import SampleGrid
-from .model import ModelParams, VasicekPath
 from .specfun import log_gamma
 
 __all__ = [
     "KernelConstants",
     "SufficientStats",
     "PanelEngine",
-    "QuadratureConvergenceError",
     "constants",
-    "kernel_k",
     "shared_engine",
-    "martingale_M",
     "quadratic_variation",
-    "reconstruct_X",
-    "refinement_check",
 ]
 
 _DEFAULT_STRIDE = 16
@@ -67,10 +61,6 @@ _END_RULE_NODES = 8
 _MAX_DENSE_CELLS = 5_000_000
 _DENSE_ROW_BLOCKS = 8
 _QV_MAX_BLOCKS = 2048
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Statistics moved by more than the gate under grid refinement."""
 
 
 def _check_transform_hurst(hurst: float) -> None:
@@ -109,16 +99,6 @@ def constants(hurst: float, gamma: float) -> KernelConstants:
     return KernelConstants(
         hurst=hurst, gamma=gamma, kappa=kappa, lam=lam, lam_star=lam_star, rho=rho
     )
-
-
-def kernel_k(t: float, s: float, hurst: float) -> float:
-    """k(t,s) = kappa^{-1} s^{1/2-H} (t-s)^{1/2-H} on 0 < s < t."""
-    _check_transform_hurst(hurst)
-    if not 0.0 < s < t:
-        raise ValueError(f"kernel_k needs 0 < s < t, got s={s!r}, t={t!r}")
-    a = 0.5 - hurst
-    kc = constants(hurst, 1.0)
-    return s**a * (t - s) ** a / kc.kappa
 
 
 def _jacobi_rule_01(n: int, left_exp: float, right_exp: float):
@@ -355,76 +335,3 @@ def shared_engine(grid: SampleGrid, hurst: float) -> PanelEngine:
     horizons on the same n share it.
     """
     return PanelEngine(grid, hurst)
-
-
-def martingale_M(stats: SufficientStats, params: ModelParams) -> float:
-    """M_T = S_T + beta J_T - (alpha/gamma) w_T, exactly N(0, w_T) in law."""
-    return stats.S + params.beta * stats.J - (params.alpha / params.gamma) * stats.w
-
-
-def refinement_check(
-    path: VasicekPath, stride: int = _DEFAULT_STRIDE, rtol: float = 0.01
-) -> dict[str, float]:
-    """Relative movement of the statistics when the inner grid is doubled.
-
-    Raises QuadratureConvergenceError when any gap exceeds rtol.  S and J are
-    insensitive to the stride by construction, so the informative gaps are in
-    I and K (P-differencing resolution).
-    """
-    if stride % 2 != 0:
-        raise ValueError("stride must be even to allow halving")
-    params = path.params
-    coarse = PanelEngine(path.grid, params.hurst, stride).statistics(path.values, params.gamma)
-    fine = PanelEngine(path.grid, params.hurst, stride // 2).statistics(path.values, params.gamma)
-    gaps = {}
-    for name in ("S", "I", "J", "K"):
-        c, f = float(getattr(coarse, name)[0]), float(getattr(fine, name)[0])
-        gaps[name] = abs(f - c) / max(abs(f), abs(c), 1e-12)
-    if max(gaps.values()) > rtol:
-        raise QuadratureConvergenceError(f"quadrature not converged: {gaps}")
-    return gaps
-
-
-def reconstruct_X(
-    times: np.ndarray,
-    s_values: np.ndarray,
-    params: ModelParams,
-    out_indices: np.ndarray | None = None,
-    inner_nodes: int = 16,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the transform: X_t = int_0^t K(t,s) dS_s for the model kernel
-
-    K(t,s) = gamma H (2H-1) int_s^t r^{H-1/2} (r-s)^{H-3/2} dr,
-
-    with the inner integral done by Gauss-Jacobi in the (r-s)^{H-3/2} weight
-    and the outer dS integral as a midpoint Riemann-Stieltjes sum over the
-    panel cells.  `times` and `s_values` are an S panel (for example
-    `PanelEngine.inner_times` and Z / gamma from `raw_panels`), which must be
-    fine (stride 1..4).  Returns (times, values) at the requested panel
-    indices (default: every panel node past the first eighth, where the dS
-    history is long enough to resolve).
-    """
-    hurst = params.hurst
-    gamma = params.gamma
-    if not 0.5 < hurst < 1.0:
-        raise ValueError("reconstruction needs H in (1/2, 1)")
-    ds = np.diff(s_values)
-    mids = 0.5 * (times[1:] + times[:-1])
-    m = len(ds)
-    if out_indices is None:
-        step = max(1, m // 64)
-        out_indices = np.arange(max(m // 8, 1), m + 1, step)
-    v, wt = _jacobi_rule_01(inner_nodes, hurst - 1.5, 0.0)
-    front = gamma * hurst * (2.0 * hurst - 1.0)
-    out_t = times[out_indices]
-    out_x = np.empty(len(out_indices))
-    for pos, q in enumerate(out_indices):
-        t = times[q]
-        s = mids[:q]
-        gap = t - s
-        # inner integral: (t-s)^{H-1/2} * sum wt * (s + gap*v)^{H-1/2}
-        nodes = s[:, None] + gap[:, None] * v[None, :]
-        inner = (nodes ** (hurst - 0.5)) @ wt
-        kvals = front * gap ** (hurst - 0.5) * inner
-        out_x[pos] = kvals @ ds[:q]
-    return out_t, out_x

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _oracles import loglik
 from fracvas.estimators import (
     DegenerateStatsError,
     estimate_gamma,
     estimate_hurst,
-    loglik,
     mle_alpha,
     mle_beta,
     mle_joint,

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import _oracles
 from fracvas import fbm
 
 
 def test_cov_basics():
-    assert fbm.fbm_cov(2.0, 2.0, 0.7) == pytest.approx(2.0**1.4)
-    assert fbm.fbm_cov(1.0, 3.0, 0.7) == fbm.fbm_cov(3.0, 1.0, 0.7)
+    assert _oracles.fbm_cov(2.0, 2.0, 0.7) == pytest.approx(2.0**1.4)
+    assert _oracles.fbm_cov(1.0, 3.0, 0.7) == _oracles.fbm_cov(3.0, 1.0, 0.7)
     # H = 1/2 reduces to Brownian covariance min(s, t)
-    assert fbm.fbm_cov(1.5, 4.0, 0.5) == pytest.approx(1.5)
-    assert fbm.fbm_cov(0.0, 4.0, 0.7) == 0.0
+    assert _oracles.fbm_cov(1.5, 4.0, 0.5) == pytest.approx(1.5)
+    assert _oracles.fbm_cov(0.0, 4.0, 0.7) == 0.0
 
 
 def test_cov_domain_errors():
     with pytest.raises(ValueError):
-        fbm.fbm_cov(-1.0, 1.0, 0.7)
+        _oracles.fbm_cov(-1.0, 1.0, 0.7)
     with pytest.raises(ValueError):
-        fbm.fbm_cov(1.0, 1.0, 1.0)
+        _oracles.fbm_cov(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        fbm.fbm_cov(1.0, 1.0, 0.0)
+        _oracles.fbm_cov(1.0, 1.0, 0.0)
 
 
 def test_grid_validation():
@@ -56,7 +57,7 @@ def test_sample_covariance_matches_exact_8x8():
         draws[r] = fbm.generate_fbm(hurst, grid, seed=900_000 + r).values[1:]
     sample_cov = draws.T @ draws / n_rep
     t = grid.times()[1:]
-    exact = np.array([[fbm.fbm_cov(si, ti, hurst) for ti in t] for si in t])
+    exact = np.array([[_oracles.fbm_cov(si, ti, hurst) for ti in t] for si in t])
     # Var of a sample second moment of jointly Gaussian terms:
     # Var(x_i x_j) = c_ii c_jj + c_ij^2.
     band = 4.0 * np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n_rep)
@@ -71,7 +72,7 @@ def test_marginal_ks_against_dense_oracle():
     dense = np.empty(n_rep)
     for r in range(n_rep):
         circ[r] = fbm.generate_fbm(hurst, grid, seed=10_000 + r).values[-1]
-        dense[r] = fbm.exact_gaussian_oracle(hurst, grid, seed=500_000 + r).values[-1]
+        dense[r] = _oracles.exact_gaussian_oracle(hurst, grid, seed=500_000 + r).values[-1]
     stat, p = stats.ks_2samp(circ, dense)
     assert p > 0.001, (stat, p)
     # both should be N(0, 1) marginals at t=1
@@ -101,7 +102,7 @@ def test_increment_scaling_follows_hurst():
 def test_oracle_rejects_large_n():
     grid = fbm.SampleGrid(horizon=1.0, n=4096)
     with pytest.raises(ValueError):
-        fbm.exact_gaussian_oracle(0.7, grid, seed=1)
+        _oracles.exact_gaussian_oracle(0.7, grid, seed=1)
 
 
 def _full_spectrum_fbm(hurst, grid, seed):

@@ -1,5 +1,6 @@
 """Experiment runner: config validation, determinism, artifacts, KS wrapper."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from _oracles import vector_limit
 from fracvas import harness
 from fracvas.estimators import DegenerateStatsError, estimate_gamma
 from fracvas.fbm import SampleGrid
@@ -19,7 +21,7 @@ from fracvas.harness import (
     replication_seed,
     run_experiment,
 )
-from fracvas.limits import law_beta_limit, ratio_cdf, vector_limit
+from fracvas.limits import law_beta_limit, ratio_cdf, zeta_law
 from fracvas.model import ModelParams, simulate_exact
 from fracvas.transforms import shared_engine
 
@@ -128,6 +130,15 @@ def test_config_refuses_mistyped_fields(tmp_path, field, overrides):
     with pytest.raises(ValueError, match=field):
         _config(tmp_path, **overrides)
     assert not (tmp_path / "out").exists()
+
+
+def test_config_built_directly_refuses_params_that_are_not_model_params(tmp_path):
+    # from_dict checks the params object; the constructor must check the type
+    cfg = _config(tmp_path)
+    with pytest.raises(ValueError, match="params"):
+        ExperimentConfig(**cfg.to_dict())
+    with pytest.raises(ValueError, match="params"):
+        dataclasses.replace(cfg, params=None)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -552,6 +563,16 @@ def test_limit_check_rows_and_gating(tmp_path):
     assert by_key[(2.0, "alpha_single_exact")].gates
     assert not by_key[(2.0, "beta_ratio")].gates
     assert by_key[(3.0, "beta_ratio")].gates
+
+    z = zeta_law(ModelParams(**DESK_PARAMS))
+    zeta = {"type": "ZetaLaw", "mean": z.mean, "variance": z.variance}
+    for T in (2.0, 3.0):
+        assert by_key[(T, "beta_ratio")].law == {"type": "RatioLaw", "zeta": zeta}
+        assert by_key[(T, "I_chi_square")].law == {
+            "type": "ScaledChiSquareLaw",
+            "scale": 0.5,
+            "zeta": zeta,
+        }
 
     assert set(report.details["gates"]) == {"ks", "independence", "drift_ratio"}
     assert set(report.details["spearman_alpha_beta"]) == {"2", "3"}

@@ -8,11 +8,11 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
+from _oracles import law_xi_limit, sample_limit, vector_limit
 from fracvas.limits import (
     NormalLaw,
     RatioLaw,
     ScaledChiSquareLaw,
-    VectorLimit,
     ZetaLaw,
     law_alpha_limit,
     law_beta_limit,
@@ -21,11 +21,8 @@ from fracvas.limits import (
     law_J_limit_identity,
     law_mu_kappa_limit,
     law_S_limit,
-    law_xi_limit,
     ratio_cdf,
-    sample_limit,
     special_case_ratio,
-    vector_limit,
     zeta_law,
 )
 from fracvas.model import ModelParams
@@ -170,6 +167,15 @@ def test_stated_J_constants_are_eightfold_identity():
     s_lim = law_S_limit(DESK)
     assert implied.mean == pytest.approx(s_lim.mean / (-DESK.beta), rel=1e-14)
     assert implied.variance == pytest.approx(s_lim.variance / DESK.beta**2, rel=1e-14)
+
+
+def test_zeta_law_cdf_is_the_normal_cdf():
+    x = np.linspace(-5.0, 5.0, 41)
+    for mean, variance in ((0.0, 1.0), (zeta_law(DESK).mean, zeta_law(DESK).variance)):
+        zeta, normal = ZetaLaw(mean, variance), NormalLaw(mean, variance)
+        assert np.array_equal(zeta.cdf(x), normal.cdf(x))
+        assert zeta.cdf(0.3) == normal.cdf(0.3)
+        assert zeta.std == normal.std
 
 
 def test_ratio_cdf_basic_shape():

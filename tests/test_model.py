@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from _oracles import simulate_euler
 from fracvas import model
 from fracvas.fbm import FbmPath, SampleGrid, generate_fbm
-from fracvas.model import ModelParams, simulate_euler, simulate_exact
+from fracvas.model import ModelParams, simulate_exact
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
 

@@ -7,20 +7,17 @@ import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
+from _oracles import (
+    QuadratureConvergenceError,
+    kernel_k,
+    martingale_M,
+    reconstruct_X,
+    refinement_check,
+)
 from fracvas import transforms
 from fracvas.fbm import SampleGrid
 from fracvas.model import ModelParams, VasicekPath, simulate_exact
-from fracvas.transforms import (
-    PanelEngine,
-    QuadratureConvergenceError,
-    constants,
-    kernel_k,
-    martingale_M,
-    quadratic_variation,
-    reconstruct_X,
-    refinement_check,
-    shared_engine,
-)
+from fracvas.transforms import PanelEngine, constants, quadratic_variation, shared_engine
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
 
