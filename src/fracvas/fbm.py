@@ -102,7 +102,12 @@ def generate_fbm(hurst: float, grid: SampleGrid, seed: int) -> FbmPath:
     half.real = z[: n + 1]
     half.imag[1:n] = -z[n + 1 :]
     half.imag[[0, n]] = 0.0
+    del z  # freed before irfft allocates its output and scratch
     half *= amp
     noise_unit = np.fft.irfft(half, 2 * n)[:n]
-    values = np.concatenate([[0.0], np.cumsum(noise_unit) * grid.dt**hurst])
+    # values = [0, cumsum(noise_unit) * dt^H], the cumulative sum in place
+    values = np.empty(n + 1)
+    values[0] = 0.0
+    np.cumsum(noise_unit, out=values[1:])
+    values[1:] *= grid.dt**hurst
     return FbmPath(grid=grid, hurst=hurst, values=values)

@@ -7,7 +7,8 @@ normal zeta whose mean carries the start-level offset, and an independent
 normal xi from the martingale itself.  Ratio laws are heavy-tailed, so
 everything here is compared through CDFs and quantiles, never moments.
 Every CDF is vectorized and closed form: the ratio law through Owen's T
-(scipy.special.owens_t), the others through the normal CDF.
+(scipy.special.owens_t), the others through the normal CDF
+(scipy.special.ndtr).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import owens_t
-from scipy.stats import norm
+from scipy.special import ndtr, owens_t
 
 from .model import ModelParams
 from .specfun import log_gamma
@@ -43,7 +43,10 @@ class NormalLaw:
         return math.sqrt(self.variance)
 
     def cdf(self, x) -> np.ndarray | float:
-        return norm.cdf(x, loc=self.mean, scale=self.std)
+        x = np.asarray(x, dtype=float)
+        if self.variance == 0.0:
+            return np.heaviside(x - self.mean, 1.0)  # point mass at the mean
+        return ndtr((x - self.mean) / self.std)
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class ScaledChiSquareLaw:
         y = np.asarray(y, dtype=float)
         root = np.sqrt(np.maximum(y / self.scale, 0.0))
         m, s = self.zeta.mean, self.zeta.std
-        out = norm.cdf((root - m) / s) - norm.cdf((-root - m) / s)
+        out = ndtr((root - m) / s) - ndtr((-root - m) / s)
         return np.where(y > 0.0, out, 0.0)[()]
 
 

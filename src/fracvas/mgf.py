@@ -19,7 +19,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import logsumexp
 
 from .model import ModelParams
@@ -166,6 +165,10 @@ def mgf1_domain_boundary(
     when D stays positive up to xi2_cap.  No claim is made about the
     shape of the domain beyond this first crossing.
     """
+    # imported here: scipy.optimize costs every process that imports
+    # fracvas about 0.2 s, and no experiment calls this function
+    from scipy.optimize import bisect
+
     probes = xi2_cap * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
     outside = np.flatnonzero(_log_d(probes, params, horizon)[1] <= 0.0)
     if outside.size == 0:

@@ -7,7 +7,8 @@ simulate_exact evaluates the explicit solution
 
 with the stochastic convolution rewritten by integration by parts as
 B_t - beta e^{-beta t} int_0^t e^{beta s} B_s ds and the remaining smooth
-integral done by cumulative trapezoid quadrature.
+integral done by cumulative trapezoid quadrature (scipy's
+cumulative_trapezoid expression, written in numpy).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fbm import FbmPath, SampleGrid, generate_fbm
 
@@ -104,14 +104,36 @@ def simulate_exact(
     if abs(beta * grid.horizon) > _LOG_MAX_FLOAT:
         raise _overflow_error(beta * grid.horizon)
     noise, used_seed = _resolve_driver(params, grid, seed, driver)
+    # Three buffers of n + 1 values, written in place; each step is the
+    # operation of the expression in its comment, in the same order, so the
+    # path is bitwise that of the out-of-place form.
     t = grid.times()
-    decay = np.exp(-beta * t)
+    decay = np.multiply(t, -beta)
+    np.exp(decay, out=decay)  # e^{-beta t}
 
-    # G_i = int_0^{t_i} e^{beta s} B_s ds by cumulative trapezoid.
-    g = cumulative_trapezoid(np.exp(beta * t) * noise, dx=grid.dt, initial=0.0)
+    # G_i = int_0^{t_i} e^{beta s} B_s ds, cumulative trapezoid:
+    # y = e^{beta t} B; G = [0, cumsum(dt * (y[1:] + y[:-1]) / 2)]
+    y = np.exp(np.multiply(t, beta, out=t), out=t)
+    y *= noise
+    g = np.empty_like(y)
+    g[0] = 0.0
+    np.add(y[1:], y[:-1], out=g[1:])
+    g[1:] *= grid.dt
+    g[1:] /= 2.0
+    np.cumsum(g[1:], out=g[1:])
 
-    convolution = noise - beta * decay * g
-    values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+    # convolution = noise - beta * decay * G
+    np.multiply(beta, decay, out=y)
+    y *= g
+    convolution = np.subtract(noise, y, out=g)
+
+    # values = x0 * decay + mean_level * (1 - decay) + gamma * convolution
+    np.subtract(1.0, decay, out=y)
+    y *= params.mean_level
+    values = np.multiply(params.x0, decay, out=decay)
+    values += y
+    convolution *= params.gamma
+    values += convolution
     if not np.all(np.isfinite(values)):
         raise _overflow_error(beta * grid.horizon)
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)

@@ -245,9 +245,15 @@ class PanelEngine:
                 out[:, r0:r1] = cells[:, : block.shape[1]] @ block.T
                 r0 = r1
         else:
-            spectrum = sfft.rfft(cells * self._m_pow, self._fft_len, axis=1)
+            # the product goes straight into the zero-padded buffer rfft
+            # reads, which is freed before irfft allocates; at n = 65536
+            # each full-size temporary is 1 MiB of fresh pages per path
+            padded = np.zeros((cells.shape[0], self._fft_len))
+            np.multiply(cells, self._m_pow, out=padded[:, : self.grid.n])
+            spectrum = sfft.rfft(padded, axis=1)
+            del padded
             spectrum *= self._kernel_spectrum
-            out = sfft.irfft(spectrum, self._fft_len, axis=1)[:, self._last]
+            out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)[:, self._last]
             out += self._first_fix * cells[:, :1]
             out += self._last_fix * cells[:, self._last]
         out *= self._scale

@@ -133,6 +133,27 @@ def test_irfft_matches_full_spectrum_construction(n, hurst):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _fbm_out_of_place(hurst, grid, seed):
+    # generate_fbm before its cumulative sum was written in place
+    n = grid.n
+    z = np.random.default_rng(seed).standard_normal(2 * n)
+    half = np.empty(n + 1, dtype=complex)
+    half.real = z[: n + 1]
+    half.imag[1:n] = -z[n + 1 :]
+    half.imag[[0, n]] = 0.0
+    half *= fbm._amplitudes(n, hurst)
+    noise_unit = np.fft.irfft(half, 2 * n)[:n]
+    return np.concatenate([[0.0], np.cumsum(noise_unit) * grid.dt**hurst])
+
+
+@pytest.mark.parametrize("n", [16, 8192, 65536])
+def test_generator_is_the_out_of_place_form_bitwise(n):
+    grid = fbm.SampleGrid(horizon=3.0, n=n)
+    for seed in range(2):
+        got = fbm.generate_fbm(0.7, grid, seed).values
+        assert np.array_equal(got, _fbm_out_of_place(0.7, grid, seed))
+
+
 def test_cached_amplitudes_refuse_writes():
     amp = fbm._amplitudes(64, 0.7)
     assert amp.shape == (65,)

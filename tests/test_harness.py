@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import kstest, norm, spearmanr
 
 from _oracles import vector_limit
 from fracvas import harness
@@ -21,7 +21,7 @@ from fracvas.harness import (
     replication_seed,
     run_experiment,
 )
-from fracvas.limits import law_beta_limit, ratio_cdf, zeta_law
+from fracvas.limits import law_alpha_limit, law_beta_limit, law_I_limit, ratio_cdf, zeta_law
 from fracvas.model import ModelParams, simulate_exact
 from fracvas.transforms import shared_engine
 
@@ -179,6 +179,35 @@ def test_ks_test_power_and_degenerate_cases():
         ks_test(np.arange(10.0), norm.cdf)
     with pytest.raises(ValueError, match="one-dimensional"):
         ks_test(np.zeros((5, 5)), norm.cdf)
+
+
+@pytest.mark.parametrize("size", [20, 21, 150, 1000, 4096])
+def test_ks_test_is_scipy_kstest_asymp_bitwise(size):
+    # the three law families the experiments test, each once near its law
+    # and once shifted off it, so both D+ and D- get to be the maximum
+    params = ModelParams(**DESK_PARAMS)
+    normal, ratio, chi = law_alpha_limit(params), law_beta_limit(params), law_I_limit(params)
+    rng = np.random.default_rng(size)
+    zeta = ratio.zeta.mean + ratio.zeta.std * rng.standard_normal(size)
+    cases = [
+        (normal.std * rng.standard_normal(size), normal.cdf),
+        (rng.standard_normal(size) / zeta, law_cdf(ratio)),
+        (chi.scale * zeta**2, chi.cdf),
+    ]
+    for sample, cdf in cases:
+        for shift in (0.0, 0.3, -0.3):
+            expected = kstest(sample + shift, cdf, mode="asymp")
+            got = ks_test(sample + shift, cdf)
+            assert got == (float(expected.statistic), float(expected.pvalue))
+
+
+def test_spearman_rho_is_scipy_spearmanr_with_and_without_ties():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal(1000)
+    b = 0.3 * a + rng.standard_normal(1000)
+    tied_a, tied_b = np.round(a, 1), np.round(b)
+    for x, y in ((a, b), (tied_a, tied_b), (tied_a, b), (a, -tied_b)):
+        assert harness._spearman_rho(x, y) == spearmanr(x, y).statistic
 
 
 def test_law_cdf_dispatch():

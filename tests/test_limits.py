@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
 from _oracles import law_xi_limit, sample_limit, vector_limit
 from fracvas.limits import (
@@ -176,6 +176,28 @@ def test_zeta_law_cdf_is_the_normal_cdf():
         assert np.array_equal(zeta.cdf(x), normal.cdf(x))
         assert zeta.cdf(0.3) == normal.cdf(0.3)
         assert zeta.std == normal.std
+
+
+def test_normal_cdfs_are_the_scipy_norm_forms_bitwise():
+    x = np.concatenate([np.linspace(-8.0, 8.0, 161), [-np.inf, np.inf]])
+    for law in (law_alpha_limit(DESK), law_S_limit(DESK), zeta_law(DESK), NormalLaw(-1.5, 0.04)):
+        assert np.array_equal(law.cdf(x), norm.cdf(x, loc=law.mean, scale=law.std))
+        assert law.cdf(0.3) == norm.cdf(0.3, loc=law.mean, scale=law.std)
+    chi = law_I_limit(DESK)
+    m, s = chi.zeta.mean, chi.zeta.std
+    y = np.linspace(-1.0, 30.0, 125)
+    root = np.sqrt(np.maximum(y / chi.scale, 0.0))
+    expected = np.where(y > 0.0, norm.cdf((root - m) / s) - norm.cdf((-root - m) / s), 0.0)
+    assert np.array_equal(chi.cdf(y), expected)
+
+
+@pytest.mark.filterwarnings("error")
+def test_normal_law_at_variance_zero_is_the_point_mass_step():
+    law = NormalLaw(mean=0.5, variance=0.0)
+    x = np.array([-np.inf, 0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), np.inf])
+    assert np.array_equal(law.cdf(x), [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    assert law.cdf(0.5) == 1.0
+    assert law.cdf(-2.0) == 0.0
 
 
 def test_ratio_cdf_basic_shape():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from _oracles import simulate_euler
 from fracvas import model
@@ -34,6 +35,30 @@ def test_zero_driver_gives_ode_solution_exactly():
     ode = DESK.x0 * np.exp(-DESK.beta * t) + DESK.mean_level * (1.0 - np.exp(-DESK.beta * t))
     np.testing.assert_allclose(path.values, ode, rtol=1e-14, atol=1e-14)
     assert path.values[0] == DESK.x0
+
+
+def _exact_out_of_place(params, grid, noise):
+    # simulate_exact as it was written before its buffers were reused, with
+    # scipy's cumulative_trapezoid for the smooth integral
+    beta = params.beta
+    t = grid.times()
+    decay = np.exp(-beta * t)
+    g = cumulative_trapezoid(np.exp(beta * t) * noise, dx=grid.dt, initial=0.0)
+    convolution = noise - beta * decay * g
+    return params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+
+
+@pytest.mark.parametrize("horizon, n", [(2.0, 64), (5.0, 8192), (12.0, 8192), (2.0, 65536)])
+@pytest.mark.parametrize(
+    "params", [DESK, ModelParams(alpha=-0.4, beta=1.3, gamma=2.5, hurst=0.55, x0=-1.0)]
+)
+def test_exact_is_the_cumulative_trapezoid_form_bitwise(params, horizon, n):
+    grid = SampleGrid(horizon=horizon, n=n)
+    driver = generate_fbm(params.hurst, grid, seed=n)
+    noise = driver.values.copy()
+    path = simulate_exact(params, grid, driver=driver)
+    assert np.array_equal(path.values, _exact_out_of_place(params, grid, noise))
+    assert np.array_equal(driver.values, noise)
 
 
 def test_exact_is_deterministic_in_seed():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
@@ -308,6 +309,31 @@ def test_fft_panels_match_dense_matrix(monkeypatch):
         scale = np.abs(Zd).max()
         assert np.abs(Zd - Zf).max() < 1e-12 * scale
         assert np.abs(Fd - Ff).max() < 1e-12 * scale
+
+
+def _fft_transform_out_of_place(engine, cells):
+    # the FFT form before it shared one padded buffer: rfft zero-pads a
+    # product temporary itself, and irfft keeps its input
+    spectrum = sfft.rfft(cells * engine._m_pow, engine._fft_len, axis=1)
+    spectrum *= engine._kernel_spectrum
+    out = sfft.irfft(spectrum, engine._fft_len, axis=1)[:, engine._last]
+    out += engine._first_fix * cells[:, :1]
+    out += engine._last_fix * cells[:, engine._last]
+    out *= engine._scale
+    return out
+
+
+@pytest.mark.parametrize("n, stride", [(64, 16), (4096, 1), (65536, 16)])
+def test_fft_transform_is_the_out_of_place_form_bitwise(monkeypatch, n, stride):
+    monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
+    engine = PanelEngine(SampleGrid(horizon=2.0, n=n), 0.7, stride=stride)
+    assert engine._weights is None
+    rng = np.random.default_rng(n)
+    for rows in (1, 3):
+        cells = rng.standard_normal((rows, n))
+        kept = cells.copy()
+        assert np.array_equal(engine.transform(cells), _fft_transform_out_of_place(engine, cells))
+        assert np.array_equal(cells, kept)
 
 
 def test_refinement_check_passes_on_model_path():
