@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import gammaln, ndtr, owens_t
 
 from .model import ModelParams
-from .specfun import log_gamma
 from .transforms import constants
 
 
@@ -114,7 +113,7 @@ def law_S_limit(params: ModelParams) -> NormalLaw:
     offset = params.x0 - params.mean_level
     hurst = params.hurst
     mean = offset * kc.rho * (-params.beta) ** (hurst - 0.5) / math.sqrt(math.pi)
-    variance = math.exp(log_gamma(hurst) + log_gamma(1.0 - hurst)) / (
+    variance = math.exp(gammaln(hurst) + gammaln(1.0 - hurst)) / (
         2.0 * math.pi * (-params.beta) * kc.lam_star
     )
     return NormalLaw(mean=mean, variance=variance)
@@ -135,7 +134,7 @@ def law_J_limit(params: ModelParams) -> NormalLaw:
     offset = params.x0 - params.mean_level
     hurst = params.hurst
     mean = 8.0 * offset * kc.rho * (-params.beta) ** (hurst - 1.5) / math.sqrt(math.pi)
-    variance = 4.0 * math.exp(log_gamma(hurst) + log_gamma(1.0 - hurst)) / (
+    variance = 4.0 * math.exp(gammaln(hurst) + gammaln(1.0 - hurst)) / (
         kc.lam_star * (-params.beta) ** 3 * math.pi
     )
     return NormalLaw(mean=mean, variance=variance)

@@ -19,10 +19,9 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, ive, logsumexp
 
 from .model import ModelParams
-from .specfun import log_bessel_i, log_gamma
 from .transforms import constants
 
 _LOG_EIGHT = math.log(8.0)
@@ -42,7 +41,8 @@ def _require_domain(params: ModelParams, horizon: float) -> None:
 
 def _bessel_logs(hurst: float, x: float) -> dict[float, float]:
     orders = (-hurst, hurst - 1.0, 1.0 - hurst, hurst)
-    return {nu: log_bessel_i(nu, x) for nu in orders}
+    # log I_nu through the exponentially scaled ive, which cannot overflow
+    return {nu: math.log(ive(nu, x)) + x for nu in orders}
 
 
 def _log_d(xi2: float | np.ndarray, params: ModelParams, horizon: float):
@@ -78,8 +78,8 @@ def _coefficients(params: ModelParams) -> tuple[float, float, float, float, floa
     offset = params.x0 - params.mean_level
     rho = kc.rho
     lam_star = kc.lam_star
-    gam_h = math.exp(log_gamma(hurst))
-    gam_1h = math.exp(log_gamma(1.0 - hurst))
+    gam_h = math.exp(gammaln(hurst))
+    gam_1h = math.exp(gammaln(1.0 - hurst))
     c1 = offset * 4.0 * rho
     c2 = offset**2 * lam_star * 2.0 ** (2.0 * hurst + 1.0) * rho**2 / gam_1h
     c3 = 2.0 * gam_h * gam_1h / lam_star

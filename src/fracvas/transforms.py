@@ -42,10 +42,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
 from .fbm import SampleGrid
-from .specfun import log_gamma
 
 __all__ = [
     "KernelConstants",
@@ -90,10 +89,10 @@ def constants(hurst: float, gamma: float) -> KernelConstants:
     _check_transform_hurst(hurst)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    g32h = math.exp(log_gamma(1.5 - hurst))
-    gh12 = math.exp(log_gamma(hurst + 0.5))
+    g32h = math.exp(gammaln(1.5 - hurst))
+    gh12 = math.exp(gammaln(hurst + 0.5))
     kappa = 2.0 * hurst * g32h * gh12
-    lam = 2.0 * hurst * math.exp(log_gamma(3.0 - 2.0 * hurst)) * gh12 / g32h
+    lam = 2.0 * hurst * math.exp(gammaln(3.0 - 2.0 * hurst)) * gh12 / g32h
     lam_star = lam / (2.0 - 2.0 * hurst)
     rho = math.sqrt(math.pi) * g32h / (gamma * kappa)
     return KernelConstants(
@@ -159,7 +158,7 @@ def _unit_weights(n: int, hurst: float, stride: int, dense: bool) -> tuple[np.nd
     last_fix = ((t_col - 1.0) + v_r[None, :]) ** a @ wt_r - mid
     if stride == 1:
         # single-cell row: both singular ends in one cell, exact Beta value
-        first_fix[0] = math.exp(2.0 * log_gamma(1.0 + a) - log_gamma(2.0 + 2.0 * a)) - mid[0]
+        first_fix[0] = math.exp(2.0 * gammaln(1.0 + a) - gammaln(2.0 + 2.0 * a)) - mid[0]
         last_fix[0] = 0.0
 
     if dense:

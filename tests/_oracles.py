@@ -26,7 +26,6 @@ from fracvas.limits import (
 )
 from fracvas.mgf import MgfDomainError
 from fracvas.model import ModelParams, VasicekPath, _resolve_driver
-from fracvas.specfun import _check, log_bessel_i, log_gamma
 from fracvas.transforms import (
     _DEFAULT_STRIDE,
     PanelEngine,
@@ -172,6 +171,13 @@ def simulate_euler(
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)
 
 
+def _check(nu: float, x: float, name: str) -> None:
+    if not nu > -1.0:
+        raise ValueError(f"Bessel order must be > -1, got {nu!r}")
+    if not x >= 0.0:
+        raise ValueError(f"{name} needs x >= 0, got {x!r}")
+
+
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind I_nu(x), x >= 0, nu > -1."""
     _check(nu, x, "bessel_i")
@@ -190,8 +196,8 @@ def bessel_ratio_even(nu: float, x: float) -> float:
     ax = abs(x)
     _check(nu, ax, "bessel_ratio_even")
     if ax == 0.0:
-        return math.exp(-nu * math.log(2.0) - log_gamma(1.0 + nu))
-    return math.exp(log_bessel_i(nu, ax) - nu * math.log(ax))
+        return math.exp(-nu * math.log(2.0) - math.lgamma(1.0 + nu))
+    return math.exp(math.log(ive(nu, ax)) + ax - nu * math.log(ax))
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -181,6 +181,14 @@ def test_ks_test_power_and_degenerate_cases():
         ks_test(np.zeros((5, 5)), norm.cdf)
 
 
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf, -math.inf]], ids=["nan", "inf"])
+def test_ks_test_refuses_non_finite_samples(bad):
+    # a NaN used to give (nan, nan) silently, and an infinity a finite D
+    sample = np.concatenate([np.random.default_rng(3).standard_normal(30), bad])
+    with pytest.raises(ValueError, match=f"{len(bad)} non-finite of {sample.size}"):
+        ks_test(sample, norm.cdf)
+
+
 @pytest.mark.parametrize("size", [20, 21, 150, 1000, 4096])
 def test_ks_test_is_scipy_kstest_asymp_bitwise(size):
     # the three law families the experiments test, each once near its law
