@@ -13,15 +13,6 @@ import sys
 
 from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
 
-_SUMMARIES = {
-    "simulate": "sample model paths and write them as CSV",
-    "estimate": "simulate, estimate all parameters, export per-replication estimates",
-    "exact-check": "KS-test the finite-horizon pivot against the standard normal",
-    "limit-check": "KS-test normalized estimator errors against their long-horizon laws",
-    "mgf-check": "compare closed-form generating functions with Monte Carlo",
-    "hurst-gamma-check": "recover roughness and noise scale from simulated paths",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -29,8 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo experiments for the long-memory mean-reverting diffusion.",
     )
     subparsers = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        sub = subparsers.add_parser(name, help=_SUMMARIES[name])
+    for name, run in EXPERIMENTS.items():
+        sub = subparsers.add_parser(name, help=run.__doc__)
         sub.add_argument("--config", required=True, help="JSON experiment config")
         sub.add_argument("--seed", type=int, default=None, help="override master_seed")
         sub.add_argument("--workers", type=int, default=None, help="override worker count")

@@ -15,6 +15,8 @@ grid times; unit-spacing noise is rescaled by dt^H (self-similarity).
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,11 @@ class FbmEmbeddingError(RuntimeError):
     """Circulant embedding produced materially negative eigenvalues."""
 
 
+def _is_finite_real(value: object) -> bool:
+    """A finite real number; bools, strings and None are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Uniform time grid: n cells on [0, horizon], n+1 nodes."""
@@ -36,10 +43,10 @@ class SampleGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 cells, got n={self.n!r}")
+        if not (_is_finite_real(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"need an integer number of cells n >= 2, got n={self.n!r}")
 
     @property
     def dt(self) -> float:

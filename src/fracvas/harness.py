@@ -50,7 +50,7 @@ from .estimators import (
     mle_joint,
     mle_mu_kappa,
 )
-from .fbm import SampleGrid
+from .fbm import SampleGrid, _is_finite_real
 from .limits import (
     NormalLaw,
     RatioLaw,
@@ -66,8 +66,8 @@ from .limits import (
     special_case_ratio,
 )
 from .mgf import mgf1_log, mgf2_log
-from .model import _LOG_MAX_FLOAT, ModelParams, _is_finite_real, simulate_exact
-from .transforms import constants, shared_engine
+from .model import _LOG_MAX_FLOAT, ModelParams, simulate_exact
+from .transforms import _DEFAULT_STRIDE, constants, shared_engine
 
 # experiments that estimate H and gamma from every path
 _RECOVERING = ("estimate", "limit-check", "hurst-gamma-check")
@@ -158,6 +158,12 @@ class ExperimentConfig:
         if abs(self.params.beta) * t_max > bound:
             raise ValueError(
                 f"horizon T = {t_max:g} overflows {self.experiment}: |beta| T > {bound:.4g}"
+            )
+        # the panel quadrature needs 4 inner points, one per _DEFAULT_STRIDE cells
+        if self.experiment != "simulate" and n < 4 * _DEFAULT_STRIDE:
+            raise ValueError(
+                f"{self.experiment} integrates panels of {_DEFAULT_STRIDE} cells, which needs "
+                f"n_grid >= {4 * _DEFAULT_STRIDE}, got {n}"
             )
         if self.experiment in _RECOVERING and n < _MIN_RECOVERY_N:
             raise ValueError(
@@ -411,10 +417,11 @@ def _collect(
     params = params if params is not None else config.params
     n = config.replications
     tasks = [(mode, config, params, T, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
-    if config.workers == 1 or len(tasks) == 1:
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         blocks = [_batch_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_batch_task, tasks))
     # a block that failed at "stats" or "mle" lacks the later columns
     kept = [cols for cols, _ in blocks if cols["replication"].size]
@@ -493,6 +500,7 @@ def _insufficient(config: ExperimentConfig, report: TestReport) -> bool:
 
 
 def _run_simulate(config: ExperimentConfig, report: TestReport) -> None:
+    """sample model paths and write them as CSV"""
     seeds: dict[str, dict[str, int]] = {}
     for T in config.T_list:
         cols = _collect(config, report, "paths", T)
@@ -505,6 +513,7 @@ def _run_simulate(config: ExperimentConfig, report: TestReport) -> None:
 
 
 def _run_estimate(config: ExperimentConfig, report: TestReport) -> None:
+    """simulate, estimate all parameters, export per-replication estimates"""
     p = config.params
     truth = (p.alpha, p.beta, p.alpha, p.beta, p.mean_level, p.beta, p.gamma, p.hurst)
     estimates: list[dict] = []
@@ -523,6 +532,7 @@ def _run_estimate(config: ExperimentConfig, report: TestReport) -> None:
 
 
 def _run_exact_check(config: ExperimentConfig, report: TestReport) -> None:
+    """KS-test the finite-horizon pivot against the standard normal"""
     p = config.params
     kc = constants(p.hurst, p.gamma)
     law = NormalLaw(mean=0.0, variance=1.0)
@@ -575,6 +585,7 @@ def _limit_statistics(
 
 
 def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
+    """KS-test normalized estimator errors against their long-horizon laws"""
     p = config.params
     t_max = max(config.T_list)
     insufficient = _insufficient(config, report)
@@ -645,6 +656,7 @@ def _write_mgf_csv(config: ExperimentConfig, points: list[dict]) -> None:
 
 
 def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
+    """compare closed-form generating functions with Monte Carlo"""
     p = config.params
     T = config.T_list[0]
     if len(config.T_list) > 1:
@@ -698,6 +710,7 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
 
 
 def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
+    """recover roughness and noise scale from simulated paths"""
     p = config.params
     T = config.T_list[0]
     if len(config.T_list) > 1:

@@ -14,22 +14,16 @@ cumulative_trapezoid expression, written in numpy).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fbm import FbmPath, SampleGrid, generate_fbm
+from .fbm import FbmPath, SampleGrid, _is_finite_real, generate_fbm
 
 __all__ = ["ModelParams", "VasicekPath", "simulate_exact"]
 
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)  # exp overflows past this
-
-
-def _is_finite_real(value: object) -> bool:
-    """A finite real number; bools, strings and None are not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -104,36 +98,16 @@ def simulate_exact(
     if abs(beta * grid.horizon) > _LOG_MAX_FLOAT:
         raise _overflow_error(beta * grid.horizon)
     noise, used_seed = _resolve_driver(params, grid, seed, driver)
-    # Three buffers of n + 1 values, written in place; each step is the
-    # operation of the expression in its comment, in the same order, so the
-    # path is bitwise that of the out-of-place form.
     t = grid.times()
-    decay = np.multiply(t, -beta)
-    np.exp(decay, out=decay)  # e^{-beta t}
-
-    # G_i = int_0^{t_i} e^{beta s} B_s ds, cumulative trapezoid:
-    # y = e^{beta t} B; G = [0, cumsum(dt * (y[1:] + y[:-1]) / 2)]
-    y = np.exp(np.multiply(t, beta, out=t), out=t)
-    y *= noise
-    g = np.empty_like(y)
-    g[0] = 0.0
-    np.add(y[1:], y[:-1], out=g[1:])
-    g[1:] *= grid.dt
-    g[1:] /= 2.0
-    np.cumsum(g[1:], out=g[1:])
-
-    # convolution = noise - beta * decay * G
-    np.multiply(beta, decay, out=y)
-    y *= g
-    convolution = np.subtract(noise, y, out=g)
-
-    # values = x0 * decay + mean_level * (1 - decay) + gamma * convolution
-    np.subtract(1.0, decay, out=y)
-    y *= params.mean_level
-    values = np.multiply(params.x0, decay, out=decay)
-    values += y
-    convolution *= params.gamma
-    values += convolution
-    if not np.all(np.isfinite(values)):
-        raise _overflow_error(beta * grid.horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-beta * t)
+        # G_i = int_0^{t_i} e^{beta s} B_s ds by cumulative trapezoid
+        y = np.exp(beta * t) * noise
+        g = np.concatenate([[0.0], np.cumsum(grid.dt * (y[1:] + y[:-1]) / 2.0)])
+        convolution = noise - beta * decay * g
+        values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+    if bad := np.count_nonzero(~np.isfinite(values)):
+        raise ValueError(
+            f"{bad} path nodes not finite: x0 = {params.x0:.6g}, beta*T = {beta * grid.horizon:.6g}"
+        )
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)

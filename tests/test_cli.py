@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from fracvas.cli import main
+from fracvas.harness import EXPERIMENTS
 
 DESK_PARAMS = {"alpha": 1.0, "beta": -0.5, "gamma": 1.0, "hurst": 0.7, "x0": 0.3}
 
@@ -29,6 +31,16 @@ def test_tiny_simulate_passes(tmp_path, capsys):
     assert main(["simulate", "--config", _config_file(tmp_path)]) == 0
     assert "PASS: simulate (0 failed replications" in capsys.readouterr().out
     assert (tmp_path / "out" / "path_T1_rep00001.csv").exists()
+
+
+def test_help_lists_every_experiment_with_its_summary(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per experiment
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for name, run in EXPERIMENTS.items():
+        assert any(line.split() == [name, *run.__doc__.split()] for line in lines), name
+    assert len(EXPERIMENTS) == 6
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -73,6 +85,17 @@ def test_non_finite_statistic_aborts_with_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fracvas: aborted: 64/64 replications failed at T=5.0")
     assert "ValueError: statistic I is not finite on 64 of 64 paths" in err
+
+
+@pytest.mark.parametrize("experiment", ["exact-check", "mgf-check"])
+@pytest.mark.parametrize("n_grid", [8, 32])
+def test_grid_too_coarse_for_panels_exits_2(tmp_path, capsys, experiment, n_grid):
+    config = _config_file(tmp_path, experiment=experiment, n_grid=n_grid, replications=64)
+    assert main([experiment, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fracvas: bad config: {experiment} integrates panels")
+    assert "n_grid >= 64" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_horizon_exits_2(tmp_path, capsys):

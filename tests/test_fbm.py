@@ -1,5 +1,7 @@
 """Circulant-embedding fBm generator vs. the dense-covariance oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -32,6 +34,29 @@ def test_grid_validation():
         fbm.SampleGrid(horizon=1.0, n=1)
     g = fbm.SampleGrid(horizon=2.0, n=4)
     assert g.dt == 0.5
+    np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@pytest.mark.parametrize(
+    "field, horizon, n",
+    [
+        ("horizon", math.inf, 8),
+        ("horizon", math.nan, 8),
+        ("horizon", "1.0", 8),
+        ("horizon", True, 8),
+        ("n", 1.0, 8.0),
+        ("n", 1.0, 8.5),
+        ("n", 1.0, True),
+    ],
+)
+def test_grid_refuses_infinite_horizons_and_fractional_cell_counts(field, horizon, n):
+    # an infinite horizon gave nan/inf times, a float n a TypeError in linspace
+    with pytest.raises(ValueError, match=field):
+        fbm.SampleGrid(horizon=horizon, n=n)
+
+
+def test_grid_accepts_numpy_scalars():
+    g = fbm.SampleGrid(horizon=np.float64(2.0), n=np.int64(4))
     np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
 

@@ -485,6 +485,41 @@ def test_recovering_experiments_refuse_coarse_grids(tmp_path):
             _config(tmp_path, experiment=experiment, n_grid=2048)
 
 
+@pytest.mark.parametrize("experiment", ["exact-check", "mgf-check"])
+@pytest.mark.parametrize("n_grid", [8, 32])
+def test_panel_experiments_refuse_grids_below_four_panels(tmp_path, experiment, n_grid):
+    # these grids used to pass validation, then fail in PanelEngine mid-run
+    with pytest.raises(ValueError, match="n_grid >= 64"):
+        _config(tmp_path, experiment=experiment, n_grid=n_grid)
+
+
+def test_pool_is_no_larger_than_the_block_count(tmp_path, monkeypatch):
+    # 100 replications are 2 blocks: a pool of 8 would fork 6 idle processes
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    base = {"replications": 100, "n_grid": 64}
+    run_experiment(_config(tmp_path, output_dir=str(tmp_path / "w1"), **base))
+    assert built == []
+    run_experiment(_config(tmp_path, output_dir=str(tmp_path / "w8"), workers=8, **base))
+    assert built == [2]
+    for name in ("stats_T2.csv", "checks.csv"):
+        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w8" / name, shallow=False)
+
+
 def test_failed_hurst_voids_only_its_column(tmp_path):
     # near H = 1 the second-difference ratio leaves (0, 1) on a few paths;
     # H is taken as known, so those rows keep their drift statistics

@@ -94,6 +94,13 @@ def test_exact_refuses_overflowing_horizon():
             simulate_exact(params, grid, seed=3)
 
 
+def test_exact_names_x0_when_it_overflows_the_path():
+    # |beta T| = 10 is far inside the double range; x0 e^{-beta t} is not
+    params = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=1e306)
+    with pytest.raises(ValueError, match=r"x0 = 1e\+306, beta\*T = -10"):
+        simulate_exact(params, SampleGrid(horizon=20.0, n=1024), seed=3)
+
+
 def test_exact_refuses_overflow_before_drawing_the_driver(monkeypatch):
     def no_driver(*args, **kwargs):
         raise AssertionError("the fBm driver must not be drawn")
