@@ -36,7 +36,6 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.special import kolmogorov, logsumexp
@@ -294,29 +293,173 @@ def _law_fields(law) -> dict:
     return out
 
 
-def _write_csv(path: str, columns: dict, body: str | None = None) -> None:
-    """Write named columns as one CSV: floats with 17 significant digits, which
-    round-trip every double, and every other cell through str.
+# rows of a CSV are laid out about this many bytes at a time
+_CSV_CHUNK_BYTES = 1 << 17
 
-    `body` is the rows' format string when the caller has one prebuilt (a
-    path file's `_path_rows`); a column given as None is already formatted
-    into it.  Without it, the rows are built from the column dtypes.
+# a float cell: the sign in column 0, the "0." and zeros of |v| < 1
+# right-aligned in 1-5, then 17 digits and the point; the longest exponent
+# form, -d.dddddddddddddddde-ddd, fits as well
+_FLOAT_WIDTH = 24
+
+
+def _write_csv(path: str, columns: dict) -> None:
+    """Write named columns as one CSV: float cells byte-identical to Python's
+    %-formatting with 17 significant digits, which round-trips every double,
+    and every other cell through str.
+
+    A column given as a 2-D uint8 array is already formatted, one row per
+    cell with NUL bytes as padding (a path file's cached time column).
+    Rows are laid out as fixed-width cells plus separators in a uint8
+    table, _CSV_CHUNK_BYTES of it at a time; dropping its NUL padding
+    leaves the file's bytes.
     """
-    arrays = [np.asarray(col) for col in columns.values() if col is not None]
-    if body is None:
-        row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
-        body = row * len(arrays[0])
-    cells = tuple(chain.from_iterable(zip(*(a.tolist() for a in arrays))))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.write(body % cells)
+    blocks = [_cells(col) for col in columns.values()]
+    ends = np.cumsum([block.shape[1] + 1 for block in blocks])
+    n_rows, width = len(blocks[0]), int(ends[-1])
+    step = max(1, _CSV_CHUNK_BYTES // width)
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for lo in range(0, n_rows, step):
+            table = np.empty((min(step, n_rows - lo), width), np.uint8)
+            for block, end in zip(blocks, ends):
+                table[:, end - 1 - block.shape[1] : end - 1] = block[lo : lo + step]
+                table[:, end - 1] = ord(",")
+            table[:, -1] = ord("\n")
+            fh.write(memoryview(table[table != 0]))
+
+
+def _cells(column) -> np.ndarray:
+    """(rows, width) uint8 cells of one CSV column, NUL-padded."""
+    a = np.asarray(column)
+    if a.ndim == 2 and a.dtype == np.uint8:
+        return a
+    if a.dtype.kind == "f":
+        return _float_cells(a)
+    text = np.array([str(v).encode() for v in a.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(a.size, text.itemsize)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """(len(x), 24) uint8 cells holding the text Python's %-formatting gives
+    each v at 17 significant digits, with NUL padding anywhere in a cell.
+
+    For 1e-4 <= |v| < 1e17, where %g prints no exponent, the 17 significant
+    digits D = round(|v| * 10**(16 - X)), X = floor(log10|v|), are computed
+    exactly (_scaled_round), so they are the digits of Python's correctly
+    rounded formatter.  The point goes in per group of rows with one X.
+    The other values (0, -0, inf, nan and the exponent form) go through
+    Python one at a time.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0  # a stand-in: the cells of these rows are overwritten last
+    pow10 = _decimal_tables()[0]
+    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    D = _scaled_round(a, pow10[16 - X])
+    # log10 rounds across a power of ten: move X by one where D has 16 or 18 digits
+    off = (D >= 10**17).astype(np.int64) - (D < 10**16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        X[fix] += off[fix]
+        D[fix] = _scaled_round(a[fix], pow10[16 - X[fix]])
+    digits, point = _digits(D, X)
+
+    cells = np.zeros((x.size, _FLOAT_WIDTH), np.uint8)
+    # whole rows move as single void items: one take and one put per group
+    digit_rows = digits.view(f"V{digits.shape[1]}").ravel()
+    cell_rows = cells.view(f"V{_FLOAT_WIDTH}").ravel()
+    for e in np.flatnonzero(np.bincount(X + 4, minlength=21)) - 4:
+        rows = np.flatnonzero(X == e)
+        d = digit_rows.take(rows).view(np.uint8).reshape(rows.size, 17)
+        block = np.zeros((rows.size, _FLOAT_WIDTH), np.uint8)
+        if e < 0:
+            block[:, 5 + e : 6] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+            block[:, 6:23] = d
+        else:
+            block[:, 6 : 7 + e] = d[:, : e + 1]
+            block[:, 7 + e] = point[rows]
+            block[:, 8 + e :] = d[:, e + 1 :]
+        cell_rows[rows] = block.view(f"V{_FLOAT_WIDTH}").ravel()
+        del d, block  # before the next group allocates its own
+    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    rare = np.flatnonzero(~fast)
+    text = np.array([("%.17g" % v).encode() for v in x[rare].tolist()], f"S{_FLOAT_WIDTH}")
+    cells[rare] = text.view(np.uint8).reshape(rare.size, _FLOAT_WIDTH)
+    return cells
+
+
+def _scaled_round(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """round(a * scale) as int64, half to even, computed exactly.
+
+    `scale` is a power of ten up to 1e22, so exact in float64, and
+    a * scale < 2**63.  Dekker's two-product gives the rounded product p and
+    its exact error e.  Where p >= 2**53, which holds for every product the
+    formatter keeps, p is an even integer, so p + rint(e) is the half-even
+    rounding of p + e.
+    """
+    p = a * scale
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scale)
+    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: v = hi + lo with each half on 26 bits."""
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _digits(D: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each D in [1e16, 1e17), with the trailing zeros
+    of the fraction as NUL, and the point byte: '.', or NUL when no fraction
+    digit is left.  A value with exponent X has its last 16 - X digits in
+    the fraction, or all 17 when X < 0."""
+    _, quads, quad_zeros, keep = _decimal_tables()
+    # D is a lead digit then four groups of four digits
+    groups = np.empty((5, D.size), np.int32)
+    for j in (4, 3, 2, 1):
+        high = D // 10**4
+        groups[j] = D - high * 10**4
+        D = high
+    groups[0] = D
+    trailing = quad_zeros.take(groups[1])
+    for j in (2, 3, 4):
+        trailing = np.where(groups[j] == 0, trailing + 4, quad_zeros.take(groups[j]))
+    frac = np.where(X >= 0, 16 - X, 17)
+    strip = np.minimum(trailing, frac)
+    digits = np.empty((D.size, 17), np.uint8)
+    digits[:, 0] = groups[0] + ord("0")
+    for j in range(4):
+        # stripped digits of group j turn NUL through its keep mask
+        quad = quads.take(groups[j + 1]) & keep.take(np.clip(strip + 4 * j - 12, 0, 4))
+        digits[:, 1 + 4 * j : 5 + 4 * j] = quad.view(np.uint8).reshape(-1, 4)
+    return digits, np.where(strip < frac, ord("."), 0).astype(np.uint8)
+
+
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, ...]:
+    """Powers of ten 1e0..1e22, each exact in float64; the ASCII of
+    0000..9999 as one uint32 each, and the trailing zeros of each; and the
+    uint32 masks that keep the first 4, 3, 2, 1 or 0 of four bytes."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    quad = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    zeros = np.argmax(quad[:, ::-1] != 0, axis=1).astype(np.int8)
+    zeros[0] = 4
+    quads = (quad + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    keep = (np.arange(4) < 4 - np.arange(5)[:, None]).astype(np.uint8) * np.uint8(255)
+    return pow10, quads, zeros, keep.view(np.uint32).ravel()
 
 
 @functools.lru_cache(maxsize=2)
-def _path_rows(grid: SampleGrid) -> str:
-    """Row format string of a path file on `grid`: every time value already
-    formatted, one value slot per row.  Every path of a horizon shares it."""
-    return "".join("%.17g,%%.17g\n" % t for t in grid.times().tolist())
+def _time_cells(grid: SampleGrid) -> np.ndarray:
+    """Formatted time column of a path file on `grid`; every path of a
+    horizon shares it."""
+    cells = _float_cells(grid.times())
+    cells.flags.writeable = False
+    return cells
 
 
 def _tag(T: float) -> str:
@@ -363,7 +506,7 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
         seeds.append(seed)
         if mode == "paths":
             out = os.path.join(config.output_dir, _path_csv_name(T, rep))
-            _write_csv(out, {"t": None, "value": path.values}, _path_rows(grid))
+            _write_csv(out, {"t": _time_cells(grid), "value": path.values})
         elif engine is not None:
             values[len(reps) - 1] = path.values
         if mode == "stats+est":

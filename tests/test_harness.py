@@ -315,18 +315,25 @@ def test_simulate_writes_paths(tmp_path):
     assert seeds["path_T1_rep00000.csv"] == replication_seed(7, 0)
 
 
+def _rows_17g(*columns) -> str:
+    """CSV rows of float columns through Python's own "%.17g"."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+
+
 @pytest.mark.parametrize("horizon, n", [(0.1, 4), (1 / 3, 64), (5.0, 8192), (1e5, 16)])
 def test_path_rows_match_the_columnar_writer(tmp_path, horizon, n):
-    # the cached per-grid row template writes the same bytes as the
-    # generic columnar CSV of (t, value)
+    # a path file's rows, with the grid's cached time column, and the same
+    # columns given as floats both write Python's "%.17g" text of every row
     grid = SampleGrid(horizon=horizon, n=n)
     values = np.random.default_rng(n).standard_normal(n + 1)
     values[:5] = [0.0, -0.0, -1e-300, 1e-300, 1e300]
-    generic, templated = tmp_path / "generic.csv", tmp_path / "templated.csv"
+    oracle = "t,value\n" + _rows_17g(grid.times().tolist(), values.tolist())
+    generic, cached = tmp_path / "generic.csv", tmp_path / "cached.csv"
     harness._write_csv(str(generic), {"t": grid.times(), "value": values})
-    harness._write_csv(str(templated), {"t": None, "value": values}, harness._path_rows(grid))
-    assert templated.read_bytes() == generic.read_bytes()
-    lines = templated.read_text().splitlines()
+    harness._write_csv(str(cached), {"t": harness._time_cells(grid), "value": values})
+    assert generic.read_text() == oracle
+    assert cached.read_text() == oracle
+    lines = cached.read_text().splitlines()
     assert lines[0] == "t,value" and len(lines) == n + 2
     parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, 0], grid.times())
@@ -336,17 +343,79 @@ def test_path_rows_match_the_columnar_writer(tmp_path, horizon, n):
 
 def test_simulate_paths_carry_their_own_grid(tmp_path):
     # two horizons at one n: each file has its own grid's time column, so the
-    # row template is keyed by the whole grid, not by n
+    # cached time column is keyed by the whole grid, not by n
     cfg = _config(tmp_path, experiment="simulate", T_list=[1.0, 2.0], n_grid=64, replications=2)
     run_experiment(cfg)
     for T in (1.0, 2.0):
         grid = SampleGrid(horizon=T, n=64)
         for rep in range(2):
             values = simulate_exact(cfg.params, grid, seed=replication_seed(7, rep)).values
-            expected = tmp_path / "expected.csv"
-            harness._write_csv(str(expected), {"t": grid.times(), "value": values})
             written = tmp_path / "out" / f"path_T{T:g}_rep{rep:05d}.csv"
-            assert written.read_bytes() == expected.read_bytes()
+            oracle = "t,value\n" + _rows_17g(grid.times().tolist(), values.tolist())
+            assert written.read_text() == oracle
+
+
+def _float_probes() -> np.ndarray:
+    """About 1.1e6 doubles for the CSV float formatter, both signs."""
+    rng = np.random.default_rng(20261019)
+    decades = 10.0 ** np.arange(-320, 301)  # the lowest twenty are subnormal
+    powers = 10.0 ** np.arange(-4, 18)
+    neighbours = [powers]
+    for direction in (np.inf, -np.inf):
+        step = powers
+        for _ in range(16):
+            step = np.nextafter(step, direction)
+            neighbours.append(step)
+    # k / 2**m with 18 significant digits, the last a 5: exact ties at the
+    # 17th digit, in the fixed range for m <= 21 and in exponent form above
+    ties = []
+    for m in range(2, 25):
+        lo = 10.0 ** (17 - m) * 2.0**m
+        k = rng.integers(int(lo), int(min(10 * lo, 2.0**53)), 1000) | 1
+        ties.append(np.ldexp(k.astype(float), -m))
+    probes = np.concatenate(
+        [
+            rng.integers(0, 2**64 - 1, 2**17, dtype=np.uint64, endpoint=True).view(np.float64),
+            (decades[:, None] * rng.uniform(1.0, 10.0, (decades.size, 200))).ravel(),
+            10.0 ** rng.uniform(-4.0, 17.0, 2**18),  # the range written without exponent
+            *neighbours,
+            *ties,
+            [0.0, np.inf, np.nan, 5e-324, 1e-4, 1e16, 1e17, 2.0**53, 2.0**63],
+        ]
+    )
+    return np.concatenate([probes, -probes])
+
+
+def test_csv_floats_match_python_17g(tmp_path):
+    # the vectorized float formatter writes exactly the bytes of "%.17g" % v
+    probes = _float_probes()
+    assert probes.size >= 10**6
+    out = tmp_path / "floats.csv"
+    for lo in range(0, probes.size, 2**16):
+        chunk = probes[lo : lo + 2**16].tolist()
+        harness._write_csv(str(out), {"x": chunk})
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x" and len(lines) == len(chunk) + 1
+        wrong = [(v, got) for v, got in zip(chunk, lines[1:]) if got != "%.17g" % v]
+        assert not wrong, wrong[:5]
+
+
+def test_csv_other_columns_go_through_str(tmp_path):
+    # seeds above 2**63, integers and strings are written as str writes them,
+    # next to float cells; columns without rows leave the header alone
+    columns = {
+        "seed": np.array([0, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        "n": np.array([-3, 0, 7, 2**40]),
+        "statistic": ["S", "J_normal_identity", "", "gamma=0.5"],
+        "x": [0.1, -0.0, 123456789.5, np.nan],
+    }
+    out = tmp_path / "mixed.csv"
+    harness._write_csv(str(out), columns)
+    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+    oracle = "".join(f"{s},{n},{name},{'%.17g' % x}\n" for s, n, name, x in rows)
+    assert out.read_text() == "seed,n,statistic,x\n" + oracle
+    harness._write_csv(str(out), {"xi1": [], "xi2": [], "statistic": np.array([], dtype=str)})
+    assert out.read_bytes() == b"xi1,xi2,statistic\n"
 
 
 def test_estimate_csv_schema(tmp_path):
