@@ -27,13 +27,13 @@ from .limits import (
     law_I_limit,
     law_J_limit,
     law_J_limit_identity,
-    law_mu_kappa_limit,
+    law_mu_limit,
     law_S_limit,
     ratio_cdf,
     special_case_ratio,
     zeta_law,
 )
-from .mgf import MgfDomainError, mgf1_domain_boundary, mgf1_log, mgf2_log
+from .mgf import MgfDomainError, mgf1_log, mgf2_log
 from .model import ModelParams, VasicekPath, simulate_exact
 from .transforms import PanelEngine, SufficientStats, constants, shared_engine
 
@@ -63,8 +63,7 @@ __all__ = [
     "law_S_limit",
     "law_alpha_limit",
     "law_beta_limit",
-    "law_mu_kappa_limit",
-    "mgf1_domain_boundary",
+    "law_mu_limit",
     "mgf1_log",
     "mgf2_log",
     "mle_alpha",

@@ -59,7 +59,7 @@ from .limits import (
     law_I_limit,
     law_J_limit,
     law_J_limit_identity,
-    law_mu_kappa_limit,
+    law_mu_limit,
     law_S_limit,
     ratio_cdf,
     special_case_ratio,
@@ -700,7 +700,6 @@ def _limit_statistics(
     growth = math.exp(-p.beta * T)
     polynomial = T ** (1.0 - p.hurst)
     panel_scale = T ** (p.hurst - 0.5) * math.exp(p.beta * T)
-    mu_law, _ = law_mu_kappa_limit(p)
     entries = [
         ("beta_ratio", growth * (cols["beta_hat"] - p.beta), law_beta_limit(p)),
         ("alpha_normal", polynomial * (cols["alpha_hat"] - p.alpha), law_alpha_limit(p)),
@@ -710,7 +709,7 @@ def _limit_statistics(
             math.sqrt(cols["w"][0]) / p.gamma * (cols["alpha_tilde"] - p.alpha),
             NormalLaw(mean=0.0, variance=1.0),
         ),
-        ("mu_normal", polynomial * (cols["mu_hat"] - p.mean_level), mu_law),
+        ("mu_normal", polynomial * (cols["mu_hat"] - p.mean_level), law_mu_limit(p)),
         ("I_chi_square", np.exp(2.0 * p.beta * T) * cols["I"], law_I_limit(p)),
         ("S_normal", panel_scale * cols["S"], law_S_limit(p)),
         ("J_normal_stated", panel_scale * cols["J"], law_J_limit(p)),

@@ -159,6 +159,11 @@ def law_alpha_limit(params: ModelParams) -> NormalLaw:
     return NormalLaw(mean=0.0, variance=kc.lam * params.gamma**2)
 
 
+def law_mu_limit(params: ModelParams) -> NormalLaw:
+    """Limit of T^(1-H) (mu_hat - mu) for mu = alpha/beta: the alpha law scaled by 1/beta."""
+    return NormalLaw(mean=0.0, variance=law_alpha_limit(params).variance / params.beta**2)
+
+
 def law_beta_limit(params: ModelParams) -> RatioLaw:
     """Limit of e^(-beta T) (beta_hat - beta): the ratio eta / zeta."""
     return RatioLaw(zeta=zeta_law(params))
@@ -175,19 +180,6 @@ def special_case_ratio(hurst: float) -> RatioLaw:
     if not 0.5 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (1/2, 1), got {hurst!r}")
     return RatioLaw(zeta=ZetaLaw(mean=0.0, variance=1.0 / math.sin(math.pi * hurst)))
-
-
-def law_mu_kappa_limit(params: ModelParams) -> tuple[NormalLaw, RatioLaw]:
-    """Limits for the level/speed parameterization (mu, kappa) = (alpha/beta, beta).
-
-    The level estimate inherits the alpha fluctuation scaled by the speed;
-    the speed estimate has the same ratio limit as beta_hat.
-    """
-    kappa = params.beta
-    _require_nonergodic(kappa, "kappa")
-    kc = constants(params.hurst, params.gamma)
-    mu_law = NormalLaw(mean=0.0, variance=kc.lam * params.gamma**2 / kappa**2)
-    return mu_law, RatioLaw(zeta=zeta_law(params))
 
 
 def ratio_cdf(z, law: RatioLaw) -> np.ndarray | float:

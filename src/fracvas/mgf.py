@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 
 import numpy as np
 from scipy.special import gammaln, ive, logsumexp
@@ -25,7 +24,6 @@ from .model import ModelParams
 from .transforms import constants
 
 _LOG_EIGHT = math.log(8.0)
-_SCAN_STEPS = 4096
 
 
 class MgfDomainError(ValueError):
@@ -150,32 +148,3 @@ def mgf2_log(
     return mgf1_log(xi1, xi2, inner, horizon) + (alpha1**2 - params.alpha**2) * w_t / (
         2.0 * params.gamma**2
     )
-
-
-def mgf1_domain_boundary(
-    params: ModelParams,
-    horizon: float,
-    xi2_cap: float = 64.0,
-    tol: float = 1e-10,
-) -> float:
-    """Smallest xi2 > 0 where D crosses zero, to relative accuracy tol.
-
-    A scan of (0, xi2_cap] finds the first cell where the sign of D
-    changes, and bisection on that sign narrows the cell.  Returns inf
-    when D stays positive up to xi2_cap.  No claim is made about the
-    shape of the domain beyond this first crossing.
-    """
-    # imported here: scipy.optimize costs every process that imports
-    # fracvas about 0.2 s, and no experiment calls this function
-    from scipy.optimize import bisect
-
-    probes = xi2_cap * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
-    outside = np.flatnonzero(_log_d(probes, params, horizon)[1] <= 0.0)
-    if outside.size == 0:
-        return math.inf
-    k = outside[0]
-    lo = probes[k - 1] if k > 0 else 0.0  # D(0) = 1
-    # halving from the cell width to tol * boundary can take far more than
-    # bisect's default 100 steps when the boundary is tiny
-    return bisect(lambda xi2: _log_d(xi2, params, horizon)[1], lo, probes[k],
-                  xtol=sys.float_info.min, rtol=tol, maxiter=1100)

@@ -80,13 +80,6 @@ def _resolve_driver(
     return generate_fbm(params.hurst, grid, seed).values, seed
 
 
-def _overflow_error(beta_t: float) -> ValueError:
-    return ValueError(
-        f"exact solution is not finite at beta*T = {beta_t:.6g}: "
-        "exp(|beta| t) leaves the double range once |beta*T| exceeds about 709"
-    )
-
-
 def simulate_exact(
     params: ModelParams,
     grid: SampleGrid,
@@ -96,7 +89,10 @@ def simulate_exact(
     """Exact-solution sample on the grid (quadrature only in the convolution)."""
     beta = params.beta
     if abs(beta * grid.horizon) > _LOG_MAX_FLOAT:
-        raise _overflow_error(beta * grid.horizon)
+        raise ValueError(
+            f"exact solution is not finite at beta*T = {beta * grid.horizon:.6g}: "
+            "exp(|beta| t) leaves the double range once |beta*T| exceeds about 709"
+        )
     noise, used_seed = _resolve_driver(params, grid, seed, driver)
     t = grid.times()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,16 +3,19 @@
 No experiment, CLI path or library entry point reaches these: each is an
 independent oracle for code the package computes another way (the dense
 Gaussian fBm sampler, the Euler scheme, the inverse kernel transform, the
-limit-law samplers, the Bessel functions in linear scale, ...).  Tests
+limit-law samplers, the Bessel functions in linear scale, ...), or a
+search that only tests need (the first edge of m1's domain).  Tests
 import this module the way they import _anchors.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import bisect
 from scipy.special import iv, ive
 
 from fracvas.fbm import FbmPath, SampleGrid, _check_hurst
@@ -24,7 +27,7 @@ from fracvas.limits import (
     _require_nonergodic,
     zeta_law,
 )
-from fracvas.mgf import MgfDomainError
+from fracvas.mgf import MgfDomainError, _log_d
 from fracvas.model import ModelParams, VasicekPath, _resolve_driver
 from fracvas.transforms import (
     _DEFAULT_STRIDE,
@@ -36,6 +39,8 @@ from fracvas.transforms import (
 )
 
 _ORACLE_MAX_CELLS = 2048
+_SCAN_STEPS = 4096
+_BOUNDARY_RTOL = 1e-10
 
 
 def loglik(alpha: float, beta: float, stats: SufficientStats, gamma: float) -> float:
@@ -148,6 +153,27 @@ def mgf_quadratic_pair(theta1: float, theta2: float, m: float, sigma: float) -> 
     if not gate > 0.0:
         raise MgfDomainError(f"argument outside the domain: gate = {gate}")
     return gate**-0.5 * math.exp(m**2 * load / (2.0 * gate))
+
+
+def mgf1_domain_boundary(params: ModelParams, horizon: float, xi2_cap: float = 64.0) -> float:
+    """Smallest xi2 > 0 where mgf1's gate D crosses zero, to relative
+    accuracy _BOUNDARY_RTOL.
+
+    A scan of (0, xi2_cap] finds the first cell where the sign of D
+    changes, and bisection on that sign narrows the cell.  Returns inf
+    when D stays positive up to xi2_cap.  No claim is made about the
+    shape of the domain beyond this first crossing.
+    """
+    probes = xi2_cap * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
+    outside = np.flatnonzero(_log_d(probes, params, horizon)[1] <= 0.0)
+    if outside.size == 0:
+        return math.inf
+    k = outside[0]
+    lo = probes[k - 1] if k > 0 else 0.0  # D(0) = 1
+    # halving from the cell width to the relative tolerance can take far
+    # more than bisect's default 100 steps when the boundary is tiny
+    return bisect(lambda xi2: _log_d(xi2, params, horizon)[1], lo, probes[k],
+                  xtol=sys.float_info.min, rtol=_BOUNDARY_RTOL, maxiter=1100)
 
 
 def simulate_euler(

@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so `from module import *` cannot break;
 importing the package loads only the scipy subpackages it computes with."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -44,6 +45,26 @@ def test_import_loads_no_scipy_stats_integrate_or_optimize():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_every_scipy_import_in_the_package_is_special_or_fft():
+    # the sys.modules check above cannot see an import inside a function body
+    allowed = ("scipy.special", "scipy.fft")
+    found = []
+    for path in sorted(Path(fracvas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                # `from scipy import optimize` names the subpackage in the alias
+                names = [node.module]
+                if node.module == "scipy":
+                    names = [f"scipy.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found
+    assert [hit for hit in found if ".".join(hit[1].split(".")[:2]) not in allowed] == []
 
 
 def test_traced_benchmark_finds_every_span_name():

@@ -19,12 +19,13 @@ from fracvas.limits import (
     law_I_limit,
     law_J_limit,
     law_J_limit_identity,
-    law_mu_kappa_limit,
+    law_mu_limit,
     law_S_limit,
     ratio_cdf,
     special_case_ratio,
     zeta_law,
 )
+from fracvas.mgf import mgf2_log
 from fracvas.model import ModelParams
 from fracvas.transforms import constants
 
@@ -90,7 +91,7 @@ def test_rejects_bad_parameters():
         law_alpha_limit,
         law_beta_limit,
         law_xi_limit,
-        law_mu_kappa_limit,
+        law_mu_limit,
         vector_limit,
     ):
         with pytest.raises(ValueError):
@@ -117,8 +118,6 @@ def test_centered_at_long_run_mean_start():
     assert zeta_law(centered).mean == 0.0
     assert law_S_limit(centered).mean == 0.0
     assert law_J_limit(centered).mean == 0.0
-    _, kappa_ratio = law_mu_kappa_limit(centered)
-    assert kappa_ratio.zeta.mean == 0.0
 
 
 def test_offset_doubles_mean_only():
@@ -167,6 +166,26 @@ def test_stated_J_constants_are_eightfold_identity():
     s_lim = law_S_limit(DESK)
     assert implied.mean == pytest.approx(s_lim.mean / (-DESK.beta), rel=1e-14)
     assert implied.variance == pytest.approx(s_lim.variance / DESK.beta**2, rel=1e-14)
+
+
+def test_stated_J_law_misses_the_exact_mgf_and_identity_law_converges():
+    # at theta3 = v T^(H-1/2) e^(beta T), the exact log-MGF of J is the
+    # log-MGF of the normalized J; a normal limit law must match it as T grows
+    v = 0.7
+
+    def gaps(horizon):
+        theta3 = v * horizon ** (DESK.hurst - 0.5) * math.exp(DESK.beta * horizon)
+        exact = mgf2_log((0.0, 0.0, theta3, 0.0), DESK, horizon)
+        return [
+            exact - (law.mean * v + law.variance * v**2 / 2.0)
+            for law in (law_J_limit(DESK), law_J_limit_identity(DESK))
+        ]
+
+    stated, identity = zip(*(gaps(horizon) for horizon in (12.0, 24.0, 48.0)))
+    # about -20.4 at every horizon: the stated constants never converge
+    assert all(abs(gap) > 10.0 for gap in stated)
+    # 0.087, 0.054, 0.026: the identity law closes the gap
+    assert abs(identity[2]) <= 0.6 * abs(identity[1])
 
 
 def test_zeta_law_cdf_is_the_normal_cdf():
@@ -326,16 +345,7 @@ def test_special_case_quartiles():
     assert q3 - q1 == pytest.approx(2.0 * scale, abs=0.02)
 
 
-def test_mu_kappa_relations():
-    mu_law, kappa_ratio = law_mu_kappa_limit(DESK)
+def test_mu_law_is_the_alpha_law_over_beta():
+    mu_law = law_mu_limit(DESK)
     assert mu_law.mean == 0.0
-    assert mu_law.variance == pytest.approx(
-        law_alpha_limit(DESK).variance / DESK.beta**2, rel=1e-14
-    )
-    # the speed estimate has the same ratio limit as the joint beta estimate
-    assert kappa_ratio.zeta == zeta_law(DESK)
-
-    at_level = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=-2.0)
-    _, centered = law_mu_kappa_limit(at_level)
-    assert centered.zeta.mean == 0.0
-    assert centered.zeta.variance == kappa_ratio.zeta.variance
+    assert mu_law.variance == law_alpha_limit(DESK).variance / DESK.beta**2

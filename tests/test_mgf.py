@@ -15,7 +15,6 @@ from fracvas.mgf import (
     _coefficients,
     _derived_drift,
     mgf1_D,
-    mgf1_domain_boundary,
     mgf1_log,
     mgf2_log,
 )
@@ -23,7 +22,7 @@ from fracvas.model import ModelParams
 from fracvas.transforms import constants
 
 import _anchors
-from _oracles import mgf_product_bivariate, mgf_quadratic_pair
+from _oracles import mgf1_domain_boundary, mgf_product_bivariate, mgf_quadratic_pair
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
 T_DESK = 2.0
