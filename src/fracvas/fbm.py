@@ -9,7 +9,11 @@ per frequency of the half spectrum and one inverse real FFT synthesize an
 exact sample in O(n log n).
 
 Paths are pinned to value 0 at t = 0 and are exact in distribution at the
-grid times; unit-spacing noise is rescaled by dt^H (self-similarity).
+grid times; unit-spacing noise is rescaled by dt^H (self-similarity).  The
+rescaling is one multiplication after the cumulative sum, so a path drawn
+on the unit grid (dt = 1, where it multiplies by 1.0 exactly) and then
+multiplied by dt^H is bitwise the path drawn at spacing dt from the same
+seed: one draw serves every horizon on n cells.
 """
 
 from __future__ import annotations

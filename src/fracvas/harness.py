@@ -6,16 +6,22 @@ replication and the aggregate output is byte-identical for every worker
 count.  Work is dealt in fixed blocks of 64 replications; a worker owns
 whole blocks and results are reassembled in block order.
 
-A block simulates its paths one by one, then runs one batched quadrature
-pass over them (PanelEngine.statistics) and the drift MLEs once over the
-resulting arrays.  It returns columns, one 1-D array per quantity over
-its surviving replications, plus (replication, stage, message) failure
-records.  A failed simulation voids its replication.  A failed roughness
-estimate only sets that H_hat to NaN, since H is taken as known.  If the
-batched statistics raise (a non-finite S, I, J, K or qv) or an MLE does,
-every replication of the block fails at stage "stats" or "mle": a
-degenerate row has probability zero and overflow hits a whole horizon.
-Simulate mode writes each block's path files from inside the block.
+A block task covers every horizon its experiment collects together (all
+of T_list for the stats experiments; one horizon at a time for simulate
+and hurst-gamma-check).  A replication's seed is the same at every
+horizon, so with several horizons its fBm driver is drawn once at unit
+spacing and scaled by dt^H per horizon, bitwise the path drawn at that
+horizon.  Per horizon, a block simulates its paths one by one, then runs
+one batched quadrature pass over them (PanelEngine.statistics) and the
+drift MLEs once over the resulting arrays.  It returns columns, one 1-D
+array per quantity over its surviving replications, plus (replication,
+stage, message) failure records.  A failed simulation voids its
+replication.  A failed roughness estimate only sets that H_hat to NaN,
+since H is taken as known.  If the batched statistics raise (a non-finite
+S, I, J, K or qv) or an MLE does, every replication of the block fails
+at stage "stats" or "mle": a degenerate row has probability zero and
+overflow hits a whole horizon.  Simulate mode writes each block's path
+files from inside the block.
 
 Pass/fail semantics: distributional checks against asymptotic laws gate
 at the largest requested horizon (smaller horizons are reported for
@@ -49,7 +55,8 @@ from .estimators import (
     mle_joint,
     mle_mu_kappa,
 )
-from .fbm import SampleGrid, _is_finite_real
+from . import model
+from .fbm import FbmPath, SampleGrid, _is_finite_real
 from .limits import (
     NormalLaw,
     RatioLaw,
@@ -66,7 +73,7 @@ from .limits import (
 )
 from .mgf import mgf1_log, mgf2_log
 from .model import _LOG_MAX_FLOAT, ModelParams, simulate_exact
-from .transforms import _DEFAULT_STRIDE, constants, shared_engine
+from .transforms import _DEFAULT_STRIDE, PanelEngine, constants, shared_engine
 
 # experiments that estimate H and gamma from every path
 _RECOVERING = ("estimate", "limit-check", "hurst-gamma-check")
@@ -474,25 +481,71 @@ def _failure(rep: int, stage: str, exc: Exception) -> tuple[int, str, str]:
     return rep, stage, f"{type(exc).__name__}: {exc}"
 
 
-def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]:
-    """Run one block of replications; returns (columns, failures).
+def _batch_task(task: tuple) -> list[tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]]:
+    """Run one block of replications at every horizon of T_list; returns one
+    (columns, failures) pair per horizon, in T_list order.
+
+    A replication's seed, and so its fBm driver at unit spacing, is the
+    same at every horizon.  With more than one horizon the block draws each
+    driver once, on the unit grid, and scales it by dt^H per horizon:
+    bitwise the path generate_fbm draws at that horizon (see fracvas.fbm).
 
     Must stay a top-level function: worker pools pickle it by name.
     """
-    mode, config, params, T, lo, hi = task
-    grid = SampleGrid(horizon=float(T), n=config.n_grid)
+    mode, config, params, T_list, lo, hi = task
+    grids = [SampleGrid(horizon=T, n=config.n_grid) for T in T_list]
     # fetched before the block's paths exist, so a first (dense) engine
     # build does not hold them in memory
-    engine = shared_engine(grid, params.hurst) if mode.startswith("stats") else None
+    stats = mode.startswith("stats")
+    engines = [shared_engine(grid, params.hurst) if stats else None for grid in grids]
+    seeds = [replication_seed(config.master_seed, rep) for rep in range(lo, hi)]
+    if len(grids) > 1:
+        unit = SampleGrid(float(config.n_grid), config.n_grid)
+        drivers = [_unit_driver(params.hurst, unit, seed) for seed in seeds]
+    else:
+        drivers = [None] * len(seeds)
+    return [
+        _horizon_block(mode, config, params, grid, engine, lo, seeds, drivers)
+        for grid, engine in zip(grids, engines)
+    ]
+
+
+def _unit_driver(hurst: float, unit: SampleGrid, seed: int) -> np.ndarray | None:
+    """The seed's fBm driver values on the unit-spacing grid, or None when
+    the draw raises: simulate_exact then draws it again at each horizon and
+    the failure is recorded there, as for a single horizon."""
+    try:
+        # looked up on the module, where the benchmark's tracer wraps it
+        return model.generate_fbm(hurst, unit, seed).values
+    except Exception:  # noqa: BLE001 - recorded per horizon, see above
+        return None
+
+
+def _horizon_block(
+    mode: str,
+    config: ExperimentConfig,
+    params: ModelParams,
+    grid: SampleGrid,
+    engine: PanelEngine | None,
+    lo: int,
+    seeds: list[int],
+    drivers: list[np.ndarray | None],
+) -> tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]:
+    """One horizon of a block: (columns, failures) over replications lo, lo + 1, ...
+
+    A replication with a unit driver simulates from it scaled by dt^H;
+    one without draws its own from its seed.
+    """
+    scale = grid.dt**params.hurst
     # surviving paths fill the block's rows in order, so no per-path list is copied
-    values = np.empty((hi - lo, grid.n + 1)) if engine is not None else None
-    reps, seeds, h_hats, g_hats = [], [], [], []
+    values = np.empty((len(seeds), grid.n + 1)) if engine is not None else None
+    reps, kept_seeds, h_hats, g_hats = [], [], [], []
     failures: list[tuple[int, str, str]] = []
-    for rep in range(lo, hi):
-        seed = replication_seed(config.master_seed, rep)
+    for rep, seed, unit in zip(range(lo, lo + len(seeds)), seeds, drivers):
         stage = "simulate"
         try:
-            path = simulate_exact(params, grid, seed=seed)
+            driver = None if unit is None else FbmPath(grid, params.hurst, unit * scale)
+            path = simulate_exact(params, grid, seed=seed, driver=driver)
             if mode == "recover":
                 stage = "hurst"
                 h_hat = estimate_hurst(path)
@@ -503,9 +556,9 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
             failures.append(_failure(rep, stage, exc))
             continue
         reps.append(rep)
-        seeds.append(seed)
+        kept_seeds.append(seed)
         if mode == "paths":
-            out = os.path.join(config.output_dir, _path_csv_name(T, rep))
+            out = os.path.join(config.output_dir, _path_csv_name(grid.horizon, rep))
             _write_csv(out, {"t": _time_cells(grid), "value": path.values})
         elif engine is not None:
             values[len(reps) - 1] = path.values
@@ -517,7 +570,7 @@ def _batch_task(task: tuple) -> tuple[dict[str, np.ndarray], list[tuple[int, str
                 failures.append(_failure(rep, "hurst", exc))
 
     columns = {"replication": np.array(reps, dtype=np.int64)}
-    columns["seed"] = np.array(seeds, dtype=np.uint64)
+    columns["seed"] = np.array(kept_seeds, dtype=np.uint64)
     if mode in ("recover", "stats+est"):
         columns["H_hat"] = np.array(h_hats, dtype=float)
     if mode == "recover":
@@ -547,41 +600,46 @@ def _collect(
     config: ExperimentConfig,
     report: TestReport,
     mode: str,
-    T: float,
+    T_list: tuple[float, ...],
     params: ModelParams | None = None,
     **tags,
-) -> dict[str, np.ndarray]:
-    """Columns over the surviving replications of one horizon, in replication order.
+) -> list[dict[str, np.ndarray]]:
+    """Columns over the surviving replications of each horizon in T_list, in
+    replication order; one block task covers every horizon.
 
-    Every failure goes to report.details["failed"], tagged with `tags`;
-    report.failures counts the voided replications, and more than 1% of
-    them abort the run.
+    Every failure goes to report.details["failed"], tagged with `tags`,
+    horizon by horizon and then in block order; report.failures counts the
+    voided replications, and more than 1% of them at a horizon abort the run.
     """
     params = params if params is not None else config.params
     n = config.replications
-    tasks = [(mode, config, params, T, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
+    tasks = [
+        (mode, config, params, T_list, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)
+    ]
     workers = min(config.workers, len(tasks))
     if workers == 1:
         blocks = [_batch_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_batch_task, tasks))
-    # a block that failed at "stats" or "mle" lacks the later columns
-    kept = [cols for cols, _ in blocks if cols["replication"].size]
-    failures = [failure for _, block_failures in blocks for failure in block_failures]
-    voided = n - sum(cols["replication"].size for cols in kept)
-    if voided > 0.01 * n:
-        examples = [message for _, _, message in failures[:3]]
-        raise RuntimeError(
-            f"{voided}/{n} replications failed at T={T} (> 1%); first errors: {examples}"
+    per_horizon = []
+    for T, horizon in zip(T_list, zip(*blocks)):
+        # a block that failed at "stats" or "mle" lacks the later columns
+        kept = [cols for cols, _ in horizon if cols["replication"].size]
+        failures = [failure for _, block_failures in horizon for failure in block_failures]
+        voided = n - sum(cols["replication"].size for cols in kept)
+        if voided > 0.01 * n:
+            examples = [message for _, _, message in failures[:3]]
+            raise RuntimeError(
+                f"{voided}/{n} replications failed at T={T} (> 1%); first errors: {examples}"
+            )
+        per_horizon.append({key: np.concatenate([cols[key] for cols in kept]) for key in kept[0]})
+        report.failures += voided
+        report.details["failed"].extend(
+            dict(tags, T=T, replication=rep, stage=stage, message=message)
+            for rep, stage, message in failures
         )
-    columns = {key: np.concatenate([cols[key] for cols in kept]) for key in kept[0]}
-    report.failures += voided
-    report.details["failed"].extend(
-        dict(tags, T=T, replication=rep, stage=stage, message=message)
-        for rep, stage, message in failures
-    )
-    return columns
+    return per_horizon
 
 
 def _write_stats_csv(config: ExperimentConfig, T: float, cols: dict[str, np.ndarray]) -> None:
@@ -646,7 +704,7 @@ def _run_simulate(config: ExperimentConfig, report: TestReport) -> None:
     """sample model paths and write them as CSV"""
     seeds: dict[str, dict[str, int]] = {}
     for T in config.T_list:
-        cols = _collect(config, report, "paths", T)
+        (cols,) = _collect(config, report, "paths", (T,))
         seeds[_tag(T)] = {
             _path_csv_name(T, rep): seed
             for rep, seed in zip(cols["replication"].tolist(), cols["seed"].tolist())
@@ -661,8 +719,7 @@ def _run_estimate(config: ExperimentConfig, report: TestReport) -> None:
     truth = (p.alpha, p.beta, p.alpha, p.beta, p.mean_level, p.beta, p.gamma, p.hurst)
     estimates: list[dict] = []
     medians: dict[str, dict[str, float]] = {}
-    for T in config.T_list:
-        cols = _collect(config, report, "stats+est", T)
+    for T, cols in zip(config.T_list, _collect(config, report, "stats+est", config.T_list)):
         _write_stats_csv(config, T, cols)
         estimates.append(_estimate_columns(T, cols))
         medians[_tag(T)] = {
@@ -680,8 +737,7 @@ def _run_exact_check(config: ExperimentConfig, report: TestReport) -> None:
     kc = constants(p.hurst, p.gamma)
     law = NormalLaw(mean=0.0, variance=1.0)
     insufficient = _insufficient(config, report)
-    for T in config.T_list:
-        cols = _collect(config, report, "stats", T)
+    for T, cols in zip(config.T_list, _collect(config, report, "stats", config.T_list)):
         _write_stats_csv(config, T, cols)
         if insufficient:
             continue
@@ -734,8 +790,7 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
     estimates: list[dict] = []
     independence: dict[str, float] = {}
     drift_gap: dict[str, float] = {}
-    for T in config.T_list:
-        cols = _collect(config, report, "stats+est", T)
+    for T, cols in zip(config.T_list, _collect(config, report, "stats+est", config.T_list)):
         _write_stats_csv(config, T, cols)
         estimates.append(_estimate_columns(T, cols))
         if insufficient:
@@ -751,8 +806,6 @@ def _run_limit_check(config: ExperimentConfig, report: TestReport) -> None:
             samples[name] = sample
 
         independence[_tag(T)] = _spearman_rho(samples["alpha_normal"], samples["beta_ratio"])
-        # held into the next horizon's simulation, the samples raise peak RSS
-        del samples
         ratio = (cols["S"] + p.beta * cols["J"]) / cols["w"]
         drift_gap[_tag(T)] = float(np.median(ratio)) - p.alpha / p.gamma
 
@@ -803,7 +856,7 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
     T = config.T_list[0]
     if len(config.T_list) > 1:
         report.notes.append("mgf-check uses only the first horizon in T_list")
-    cols = _collect(config, report, "stats", T)
+    (cols,) = _collect(config, report, "stats", (T,))
     _write_stats_csv(config, T, cols)
     if _insufficient(config, report):
         _write_mgf_csv(config, [])
@@ -867,7 +920,7 @@ def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
     n_reps: list[int] = []
     for kind, target, params in settings:
         setting = f"{kind}={target:g}"
-        cols = _collect(config, report, "recover", T, params=params, setting=setting)
+        (cols,) = _collect(config, report, "recover", (T,), params=params, setting=setting)
         if kind == "H":
             errors = np.abs(cols["H_hat"] - target)
         else:

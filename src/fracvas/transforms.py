@@ -311,7 +311,8 @@ class PanelEngine:
             p_left = np.concatenate([p[:, :1], p[:, :-1]], axis=1)
             pc_left = np.concatenate([p_causal[:, :1], p_causal[:, :-1]], axis=1)
             return SufficientStats(
-                S=s[:, -1],
+                # a copy: a view would keep the whole S panel alive
+                S=s[:, -1].copy(),
                 I=np.einsum("rj,rj->r", pc_left, ds),
                 J=f[:, -1] / gamma,
                 K=(p_left**2) @ dw,

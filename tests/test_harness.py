@@ -11,9 +11,9 @@ import pytest
 from scipy.stats import kstest, norm, spearmanr
 
 from _oracles import vector_limit
-from fracvas import harness
+from fracvas import harness, model
 from fracvas.estimators import DegenerateStatsError, estimate_gamma
-from fracvas.fbm import SampleGrid
+from fracvas.fbm import FbmEmbeddingError, SampleGrid
 from fracvas.harness import (
     ExperimentConfig,
     ks_test,
@@ -257,6 +257,85 @@ def test_limit_check_worker_invariance_bitwise(tmp_path):
     assert reports[0].details == reports[1].details
 
 
+def test_limit_check_two_horizons_worker_invariance_bitwise(tmp_path):
+    # a block task covers both horizons; the pool must still reassemble
+    # each horizon's blocks into identical bytes
+    base = {
+        "experiment": "limit-check",
+        "T_list": [2.0, 3.0],
+        "n_grid": 4096,
+        "replications": 100,
+        "master_seed": 99,
+    }
+    reports = [
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / f"w{k}"), workers=k, **base))
+        for k in (1, 2)
+    ]
+    for name in ("stats_T2.csv", "stats_T3.csv", "estimates.csv", "checks.csv"):
+        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False)
+    assert reports[0].details == reports[1].details
+
+
+def test_shared_drivers_match_single_horizon_runs(tmp_path):
+    # a replication draws its fBm driver once for both horizons, at unit
+    # spacing; each horizon's files are bitwise those of a run at that
+    # horizon alone, which draws the driver at its own spacing
+    base = {"experiment": "estimate", "n_grid": 4096, "replications": 70}
+    run_experiment(_config(tmp_path, output_dir=str(tmp_path / "both"), T_list=[2.0, 3.0], **base))
+    rows = ["replication,T," + ",".join(harness._ESTIMATES)]
+    for tag in ("2", "3"):
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / tag), T_list=[float(tag)], **base))
+        name = f"stats_T{tag}.csv"
+        assert filecmp.cmp(tmp_path / "both" / name, tmp_path / tag / name, shallow=False)
+        rows += (tmp_path / tag / "estimates.csv").read_text().splitlines()[1:]
+    assert (tmp_path / "both" / "estimates.csv").read_text().splitlines() == rows
+
+
+def test_simulation_failure_at_one_horizon_keeps_the_other(tmp_path, monkeypatch):
+    # replication 70 fails at T = 2 only and replication 3 at T = 3 only: each
+    # keeps its row at the other horizon, and the failures are listed
+    # horizon by horizon although replication 3's block comes first
+    real = harness.simulate_exact
+    failing = {(2.0, replication_seed(7, 70)), (3.0, replication_seed(7, 3))}
+
+    def injected(params, grid, seed, driver=None):
+        if (grid.horizon, seed) in failing:
+            raise RuntimeError("injected")
+        return real(params, grid, seed=seed, driver=driver)
+
+    monkeypatch.setattr(harness, "simulate_exact", injected)
+    report = run_experiment(_config(tmp_path, T_list=[2.0, 3.0], replications=100))
+    assert report.failures == 2
+    assert [(f["T"], f["replication"], f["stage"]) for f in report.details["failed"]] == [
+        (2.0, 70, "simulate"),
+        (3.0, 3, "simulate"),
+    ]
+    for tag, missing in (("2", 70), ("3", 3)):
+        lines = (tmp_path / "out" / f"stats_T{tag}.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == [r for r in range(100) if r != missing]
+    assert [row.n_reps for row in report.rows] == [99, 99]
+
+
+def test_failed_driver_draw_fails_the_replication_at_every_horizon(tmp_path, monkeypatch):
+    # the block draws each driver once for both horizons; when that draw
+    # raises, the replication fails at "simulate" at each horizon, with the
+    # message a draw at that horizon gives
+    real = model.generate_fbm
+
+    def flaky(hurst, grid, seed):
+        if seed == replication_seed(7, 5):
+            raise FbmEmbeddingError("injected")
+        return real(hurst, grid, seed)
+
+    monkeypatch.setattr(model, "generate_fbm", flaky)
+    cfg = _config(tmp_path, T_list=[2.0, 3.0], replications=8)
+    blocks = harness._batch_task(("stats", cfg, cfg.params, cfg.T_list, 0, 8))
+    assert len(blocks) == 2
+    for columns, failures in blocks:
+        assert columns["replication"].tolist() == [0, 1, 2, 3, 4, 6, 7]
+        assert failures == [(5, "simulate", "FbmEmbeddingError: injected")]
+
+
 def test_simulate_worker_invariance_bitwise(tmp_path):
     base = {"experiment": "simulate", "n_grid": 64, "replications": 150}
     reports = [
@@ -477,7 +556,7 @@ def test_overflowing_horizons_are_refused(tmp_path):
     _config(tmp_path, experiment="simulate", T_list=[800.0])
     _config(tmp_path, T_list=[708.0])
     ergodic = _config(tmp_path, params=dict(DESK_PARAMS, beta=0.5), T_list=[720.0], n_grid=1024)
-    columns, failures = harness._batch_task(("stats", ergodic, ergodic.params, 720.0, 0, 8))
+    ((columns, failures),) = harness._batch_task(("stats", ergodic, ergodic.params, (720.0,), 0, 8))
     assert failures == [] and np.all(np.isfinite(columns["K"]))
 
 
@@ -487,7 +566,7 @@ def test_non_finite_statistics_fail_the_block_at_stats(tmp_path):
     params = dict(DESK_PARAMS, x0=1e200)
     cfg = _config(tmp_path, params=params, T_list=[5.0], n_grid=1024, replications=64)
     with np.errstate(over="ignore"):
-        columns, failures = harness._batch_task(("stats", cfg, cfg.params, 5.0, 0, 8))
+        ((columns, failures),) = harness._batch_task(("stats", cfg, cfg.params, (5.0,), 0, 8))
     assert all(col.size == 0 for col in columns.values())
     message = "ValueError: statistic I is not finite on 8 of 8 paths"
     assert failures == [(rep, "stats", message) for rep in range(8)]
@@ -500,8 +579,8 @@ def test_block_failed_at_stats_within_budget(tmp_path, monkeypatch):
     # within the 1% budget), and the surviving blocks still give full columns
     real = harness.simulate_exact
 
-    def poisoned(params, grid, seed):
-        path = real(params, grid, seed=seed)
+    def poisoned(params, grid, seed, driver=None):
+        path = real(params, grid, seed=seed, driver=driver)
         if seed == replication_seed(7, 0):
             path.values[-1] = math.nan
         return path
@@ -525,13 +604,13 @@ def test_stats_block_keeps_the_surviving_paths_in_order(tmp_path, monkeypatch):
     real = harness.simulate_exact
     cfg = _config(tmp_path, replications=8)
 
-    def failing(params, grid, seed):
+    def failing(params, grid, seed, driver=None):
         if seed == replication_seed(7, 3):
             raise RuntimeError("injected")
-        return real(params, grid, seed=seed)
+        return real(params, grid, seed=seed, driver=driver)
 
     monkeypatch.setattr(harness, "simulate_exact", failing)
-    columns, failures = harness._batch_task(("stats", cfg, cfg.params, 2.0, 0, 8))
+    ((columns, failures),) = harness._batch_task(("stats", cfg, cfg.params, (2.0,), 0, 8))
     assert columns["replication"].tolist() == [0, 1, 2, 4, 5, 6, 7]
     assert failures == [(3, "simulate", "RuntimeError: injected")]
     grid = SampleGrid(horizon=2.0, n=512)

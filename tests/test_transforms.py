@@ -1,5 +1,6 @@
 """Quadrature engine vs. closed-form path transforms and engine invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -369,3 +370,17 @@ def test_reconstruction_roundtrip():
     np.testing.assert_allclose(out_t, [1.25, 2.5, 3.75, 5.0])
     scale = np.abs(path.values).max()
     assert np.abs(out_x - actual).max() / scale < 0.02
+
+
+def test_block_statistics_own_their_arrays():
+    # a view into a panel would keep the whole (paths, n/16 + 1) panel alive
+    # as long as the block's columns are held, which is until the last
+    # horizon of a run is done
+    grid = SampleGrid(horizon=2.0, n=512)
+    values = np.stack([simulate_exact(DESK, grid, seed=700 + r).values for r in range(4)])
+    stats = shared_engine(grid, DESK.hurst).statistics(values, DESK.gamma)
+    arrays = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+    assert sorted(arrays) == ["I", "J", "K", "S", "qv"]
+    for name, a in arrays.items():
+        assert a.base is None, name
