@@ -6,22 +6,21 @@ replication and the aggregate output is byte-identical for every worker
 count.  Work is dealt in fixed blocks of 64 replications; a worker owns
 whole blocks and results are reassembled in block order.
 
-A block task covers every horizon its experiment collects together (all
-of T_list for the stats experiments; one horizon at a time for simulate
-and hurst-gamma-check).  A replication's seed is the same at every
-horizon, so with several horizons its fBm driver is drawn once at unit
-spacing and scaled by dt^H per horizon, bitwise the path drawn at that
-horizon.  Per horizon, a block simulates its paths one by one, then runs
-one batched quadrature pass over them (PanelEngine.statistics) and the
-drift MLEs once over the resulting arrays.  It returns columns, one 1-D
-array per quantity over its surviving replications, plus (replication,
-stage, message) failure records.  A failed simulation voids its
-replication.  A failed roughness estimate only sets that H_hat to NaN,
-since H is taken as known.  If the batched statistics raise (a non-finite
-S, I, J, K or qv) or an MLE does, every replication of the block fails
-at stage "stats" or "mle": a degenerate row has probability zero and
-overflow hits a whole horizon.  Simulate mode writes each block's path
-files from inside the block.
+A block task covers every cell its experiment collects, a (params, T)
+pair: a horizon of T_list, or a setting of hurst-gamma-check.  A
+replication's seed is the same in every cell, so its fBm driver is drawn
+once per distinct H at unit spacing and scaled by dt^H into each cell of
+that H, bitwise the path drawn at that horizon.  The stats modes simulate
+a block's paths one by one, then run one batched quadrature pass over them
+(PanelEngine.statistics) and the drift MLEs once over the resulting
+arrays; recover and paths modes estimate from, or write out, each path as
+it is simulated.  A task returns columns, one 1-D array per quantity over
+its surviving replications, plus (replication, stage, message) failure
+records.  A failed simulation voids its replication.  A failed roughness
+estimate only sets that H_hat to NaN, since H is taken as known.  If the
+batched statistics raise (a non-finite S, I, J, K or qv) or an MLE does,
+every replication of the block fails at stage "stats" or "mle": a
+degenerate row has probability zero and overflow hits a whole horizon.
 
 Pass/fail semantics: distributional checks against asymptotic laws gate
 at the largest requested horizon (smaller horizons are reported for
@@ -481,47 +480,47 @@ def _failure(rep: int, stage: str, exc: Exception) -> tuple[int, str, str]:
     return rep, stage, f"{type(exc).__name__}: {exc}"
 
 
-def _batch_task(task: tuple) -> list[tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]]:
-    """Run one block of replications at every horizon of T_list; returns one
-    (columns, failures) pair per horizon, in T_list order.
+def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
+    """Run replications lo..hi-1 in every cell; returns, per cell in cell
+    order, the (columns, failures) pairs of its chunks in replication order.
 
-    A replication's seed, and so its fBm driver at unit spacing, is the
-    same at every horizon.  With more than one horizon the block draws each
-    driver once, on the unit grid, and scales it by dt^H per horizon:
-    bitwise the path generate_fbm draws at that horizon (see fracvas.fbm).
+    A chunk is the whole block in the stats modes, which batch the
+    statistics over it, and one replication in recover and paths, so that
+    one large driver is live at a time.  H by H, which keeps the engine
+    estimate_gamma fetches cached, each chunk's drivers are drawn once on
+    the unit grid and scaled by dt^H into each cell of that H: bitwise the
+    paths generate_fbm draws at those horizons (see fracvas.fbm).
 
     Must stay a top-level function: worker pools pickle it by name.
     """
-    mode, config, params, T_list, lo, hi = task
-    grids = [SampleGrid(horizon=T, n=config.n_grid) for T in T_list]
+    mode, config, cells, lo, hi = task
+    grids = [SampleGrid(horizon=T, n=config.n_grid) for _, T in cells]
     # fetched before the block's paths exist, so a first (dense) engine
     # build does not hold them in memory
     stats = mode.startswith("stats")
-    engines = [shared_engine(grid, params.hurst) if stats else None for grid in grids]
+    engines = [shared_engine(g, p.hurst) if stats else None for (p, _), g in zip(cells, grids)]
+    unit = SampleGrid(float(config.n_grid), config.n_grid)
     seeds = [replication_seed(config.master_seed, rep) for rep in range(lo, hi)]
-    if len(grids) > 1:
-        unit = SampleGrid(float(config.n_grid), config.n_grid)
-        drivers = [_unit_driver(params.hurst, unit, seed) for seed in seeds]
-    else:
-        drivers = [None] * len(seeds)
-    return [
-        _horizon_block(mode, config, params, grid, engine, lo, seeds, drivers)
-        for grid, engine in zip(grids, engines)
-    ]
+    step = len(seeds) if stats else 1
+    out: list[list] = [[] for _ in cells]
+    for hurst in dict.fromkeys(p.hurst for p, _ in cells):
+        group = [k for k, (p, _) in enumerate(cells) if p.hurst == hurst]
+        for c in range(0, len(seeds), step):
+            chunk = seeds[c : c + step]
+            units, errors = np.empty((len(chunk), unit.n + 1)), {}
+            for i, seed in enumerate(chunk):
+                try:
+                    # looked up on the module, where the benchmark's tracer wraps it
+                    units[i] = model.generate_fbm(hurst, unit, seed).values
+                except Exception as exc:  # noqa: BLE001 - fails the replication in each cell of H
+                    errors[i] = exc
+            for k in group:
+                args = (cells[k][0], grids[k], engines[k], lo + c, chunk, units, errors)
+                out[k].append(_cell_chunk(mode, config, *args, last=k == group[-1]))
+    return out
 
 
-def _unit_driver(hurst: float, unit: SampleGrid, seed: int) -> np.ndarray | None:
-    """The seed's fBm driver values on the unit-spacing grid, or None when
-    the draw raises: simulate_exact then draws it again at each horizon and
-    the failure is recorded there, as for a single horizon."""
-    try:
-        # looked up on the module, where the benchmark's tracer wraps it
-        return model.generate_fbm(hurst, unit, seed).values
-    except Exception:  # noqa: BLE001 - recorded per horizon, see above
-        return None
-
-
-def _horizon_block(
+def _cell_chunk(
     mode: str,
     config: ExperimentConfig,
     params: ModelParams,
@@ -529,22 +528,28 @@ def _horizon_block(
     engine: PanelEngine | None,
     lo: int,
     seeds: list[int],
-    drivers: list[np.ndarray | None],
+    units: np.ndarray,
+    errors: dict[int, Exception],
+    last: bool,
 ) -> tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]:
-    """One horizon of a block: (columns, failures) over replications lo, lo + 1, ...
+    """One cell of a chunk: (columns, failures) over replications lo, lo + 1, ...
 
-    A replication with a unit driver simulates from it scaled by dt^H;
-    one without draws its own from its seed.
+    Row i of `units` is replication lo + i's unit driver, unless its draw
+    raised errors[i].  The `last` cell of an H stores its surviving paths
+    over their drivers: row len(reps) - 1 <= i, and row i is read already.
     """
     scale = grid.dt**params.hurst
-    # surviving paths fill the block's rows in order, so no per-path list is copied
-    values = np.empty((len(seeds), grid.n + 1)) if engine is not None else None
+    # surviving paths fill the chunk's rows in order, so no per-path list is copied
+    values = None if engine is None else (units if last else np.empty_like(units))
     reps, kept_seeds, h_hats, g_hats = [], [], [], []
     failures: list[tuple[int, str, str]] = []
-    for rep, seed, unit in zip(range(lo, lo + len(seeds)), seeds, drivers):
+    for i, (rep, seed) in enumerate(zip(range(lo, lo + len(seeds)), seeds)):
+        if i in errors:
+            failures.append(_failure(rep, "simulate", errors[i]))
+            continue
         stage = "simulate"
         try:
-            driver = None if unit is None else FbmPath(grid, params.hurst, unit * scale)
+            driver = FbmPath(grid, params.hurst, units[i] * scale)
             path = simulate_exact(params, grid, seed=seed, driver=driver)
             if mode == "recover":
                 stage = "hurst"
@@ -601,45 +606,47 @@ def _collect(
     report: TestReport,
     mode: str,
     T_list: tuple[float, ...],
-    params: ModelParams | None = None,
-    **tags,
+    settings: dict[str, ModelParams] | None = None,
 ) -> list[dict[str, np.ndarray]]:
-    """Columns over the surviving replications of each horizon in T_list, in
-    replication order; one block task covers every horizon.
+    """Columns over the surviving replications of each cell, in replication
+    order.  Cells go setting by setting (the named `settings`, or
+    config.params), then horizon by horizon; one block task covers them all.
 
-    Every failure goes to report.details["failed"], tagged with `tags`,
-    horizon by horizon and then in block order; report.failures counts the
-    voided replications, and more than 1% of them at a horizon abort the run.
+    Failures go to report.details["failed"] cell by cell, tagged with T and
+    setting; report.failures counts the voided replications, and more than
+    1% of a cell's replications voided aborts the run.
     """
-    params = params if params is not None else config.params
+    named = settings.items() if settings else [(None, config.params)]
+    cells = [({"setting": name} if name else {}, p, T) for name, p in named for T in T_list]
     n = config.replications
-    tasks = [
-        (mode, config, params, T_list, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)
-    ]
+    pairs = [(p, T) for _, p, T in cells]
+    tasks = [(mode, config, pairs, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
     workers = min(config.workers, len(tasks))
     if workers == 1:
         blocks = [_batch_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_batch_task, tasks))
-    per_horizon = []
-    for T, horizon in zip(T_list, zip(*blocks)):
-        # a block that failed at "stats" or "mle" lacks the later columns
-        kept = [cols for cols, _ in horizon if cols["replication"].size]
-        failures = [failure for _, block_failures in horizon for failure in block_failures]
+    per_cell = []
+    for (tags, _, T), *per_block in zip(cells, *blocks):
+        chunks = [chunk for block_chunks in per_block for chunk in block_chunks]
+        # a chunk that failed at "stats" or "mle" lacks the later columns
+        kept = [cols for cols, _ in chunks if cols["replication"].size]
+        failures = [failure for _, chunk_failures in chunks for failure in chunk_failures]
         voided = n - sum(cols["replication"].size for cols in kept)
         if voided > 0.01 * n:
+            where = ", ".join([f"T={T}"] + [f"{key} {value}" for key, value in tags.items()])
             examples = [message for _, _, message in failures[:3]]
             raise RuntimeError(
-                f"{voided}/{n} replications failed at T={T} (> 1%); first errors: {examples}"
+                f"{voided}/{n} replications failed at {where} (> 1%); first errors: {examples}"
             )
-        per_horizon.append({key: np.concatenate([cols[key] for cols in kept]) for key in kept[0]})
+        per_cell.append({key: np.concatenate([cols[key] for cols in kept]) for key in kept[0]})
         report.failures += voided
         report.details["failed"].extend(
             dict(tags, T=T, replication=rep, stage=stage, message=message)
             for rep, stage, message in failures
         )
-    return per_horizon
+    return per_cell
 
 
 def _write_stats_csv(config: ExperimentConfig, T: float, cols: dict[str, np.ndarray]) -> None:
@@ -703,8 +710,7 @@ def _insufficient(config: ExperimentConfig, report: TestReport) -> bool:
 def _run_simulate(config: ExperimentConfig, report: TestReport) -> None:
     """sample model paths and write them as CSV"""
     seeds: dict[str, dict[str, int]] = {}
-    for T in config.T_list:
-        (cols,) = _collect(config, report, "paths", (T,))
+    for T, cols in zip(config.T_list, _collect(config, report, "paths", config.T_list)):
         seeds[_tag(T)] = {
             _path_csv_name(T, rep): seed
             for rep, seed in zip(cols["replication"].tolist(), cols["seed"].tolist())
@@ -910,26 +916,18 @@ def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
     T = config.T_list[0]
     if len(config.T_list) > 1:
         report.notes.append("hurst-gamma-check uses only the first horizon in T_list")
-    settings: list[tuple[str, float, ModelParams]] = []
-    for hurst in _HURST_TARGETS:
-        settings.append(("H", hurst, dataclasses.replace(p, hurst=hurst)))
-    for gamma in _GAMMA_TARGETS:
-        settings.append(("gamma", gamma, dataclasses.replace(p, gamma=gamma)))
-
+    settings = [("H", h, dataclasses.replace(p, hurst=h)) for h in _HURST_TARGETS]
+    settings += [("gamma", g, dataclasses.replace(p, gamma=g)) for g in _GAMMA_TARGETS]
+    named = {f"{kind}={target:g}": params for kind, target, params in settings}
+    recovered = _collect(config, report, "recover", (T,), named)
     outcomes: dict[str, float] = {}
-    n_reps: list[int] = []
-    for kind, target, params in settings:
-        setting = f"{kind}={target:g}"
-        (cols,) = _collect(config, report, "recover", (T,), params=params, setting=setting)
-        if kind == "H":
-            errors = np.abs(cols["H_hat"] - target)
-        else:
-            errors = np.abs(cols["gamma_hat"] - target) / target
+    for (kind, target, _), setting, cols in zip(settings, named, recovered):
+        errors = np.abs(cols[f"{kind}_hat"] - target) / (target if kind == "gamma" else 1.0)
         outcomes[setting] = float(np.median(errors))
-        n_reps.append(errors.size)
     kinds, targets, _ = zip(*settings)
     columns = {"parameter": kinds, "target": targets, "median_error": list(outcomes.values())}
-    _write_csv(os.path.join(config.output_dir, "recovery.csv"), dict(columns, n_reps=n_reps))
+    columns["n_reps"] = [cols["replication"].size for cols in recovered]
+    _write_csv(os.path.join(config.output_dir, "recovery.csv"), columns)
     report.details["median_errors"] = outcomes
     report.details["gate"] = _RECOVERY_GATE
     report.passed = all(err < _RECOVERY_GATE for err in outcomes.values())

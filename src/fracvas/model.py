@@ -74,6 +74,8 @@ def _resolve_driver(
     if driver is not None:
         if driver.grid != grid:
             raise ValueError("driver grid does not match the simulation grid")
+        if driver.hurst != params.hurst:
+            raise ValueError(f"driver H = {driver.hurst} does not match model H = {params.hurst}")
         return driver.values, seed
     if seed is None:
         raise ValueError("either a seed or an explicit driver is required")

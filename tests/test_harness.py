@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import kstest, norm, spearmanr
 
 from _oracles import vector_limit
-from fracvas import harness, model
+from fracvas import harness, model, transforms
 from fracvas.estimators import DegenerateStatsError, estimate_gamma
 from fracvas.fbm import FbmEmbeddingError, SampleGrid
 from fracvas.harness import (
@@ -329,9 +329,10 @@ def test_failed_driver_draw_fails_the_replication_at_every_horizon(tmp_path, mon
 
     monkeypatch.setattr(model, "generate_fbm", flaky)
     cfg = _config(tmp_path, T_list=[2.0, 3.0], replications=8)
-    blocks = harness._batch_task(("stats", cfg, cfg.params, cfg.T_list, 0, 8))
-    assert len(blocks) == 2
-    for columns, failures in blocks:
+    cells = [(cfg.params, T) for T in cfg.T_list]
+    per_cell = harness._batch_task(("stats", cfg, cells, 0, 8))
+    assert len(per_cell) == 2
+    for ((columns, failures),) in per_cell:
         assert columns["replication"].tolist() == [0, 1, 2, 3, 4, 6, 7]
         assert failures == [(5, "simulate", "FbmEmbeddingError: injected")]
 
@@ -556,7 +557,8 @@ def test_overflowing_horizons_are_refused(tmp_path):
     _config(tmp_path, experiment="simulate", T_list=[800.0])
     _config(tmp_path, T_list=[708.0])
     ergodic = _config(tmp_path, params=dict(DESK_PARAMS, beta=0.5), T_list=[720.0], n_grid=1024)
-    ((columns, failures),) = harness._batch_task(("stats", ergodic, ergodic.params, (720.0,), 0, 8))
+    task = ("stats", ergodic, [(ergodic.params, 720.0)], 0, 8)
+    (((columns, failures),),) = harness._batch_task(task)
     assert failures == [] and np.all(np.isfinite(columns["K"]))
 
 
@@ -566,7 +568,7 @@ def test_non_finite_statistics_fail_the_block_at_stats(tmp_path):
     params = dict(DESK_PARAMS, x0=1e200)
     cfg = _config(tmp_path, params=params, T_list=[5.0], n_grid=1024, replications=64)
     with np.errstate(over="ignore"):
-        ((columns, failures),) = harness._batch_task(("stats", cfg, cfg.params, (5.0,), 0, 8))
+        (((columns, failures),),) = harness._batch_task(("stats", cfg, [(cfg.params, 5.0)], 0, 8))
     assert all(col.size == 0 for col in columns.values())
     message = "ValueError: statistic I is not finite on 8 of 8 paths"
     assert failures == [(rep, "stats", message) for rep in range(8)]
@@ -610,7 +612,7 @@ def test_stats_block_keeps_the_surviving_paths_in_order(tmp_path, monkeypatch):
         return real(params, grid, seed=seed, driver=driver)
 
     monkeypatch.setattr(harness, "simulate_exact", failing)
-    ((columns, failures),) = harness._batch_task(("stats", cfg, cfg.params, (2.0,), 0, 8))
+    (((columns, failures),),) = harness._batch_task(("stats", cfg, [(cfg.params, 2.0)], 0, 8))
     assert columns["replication"].tolist() == [0, 1, 2, 4, 5, 6, 7]
     assert failures == [(3, "simulate", "RuntimeError: injected")]
     grid = SampleGrid(horizon=2.0, n=512)
@@ -725,6 +727,102 @@ def test_failure_records_carry_the_setting(tmp_path, monkeypatch):
     ]
     lines = (tmp_path / "out" / "recovery.csv").read_text().strip().splitlines()
     assert [line.split(",")[-1] for line in lines[1:]] == ["99", "100", "100", "100", "100"]
+
+
+def test_abort_names_the_failing_setting(tmp_path, monkeypatch):
+    # the five settings share one horizon, so T alone would not say which
+    # one lost 2 of its 100 replications
+    real = harness.estimate_hurst
+    failing = {replication_seed(7, 3), replication_seed(7, 40)}
+
+    def flaky(path):
+        if path.params.hurst == 0.8 and path.driver_seed in failing:
+            raise DegenerateStatsError("injected")
+        return real(path)
+
+    monkeypatch.setattr(harness, "estimate_hurst", flaky)
+    cfg = _config(
+        tmp_path, experiment="hurst-gamma-check", T_list=[1.0], n_grid=4096, replications=100
+    )
+    message = r"2/100 replications failed at T=1\.0, setting H=0\.8 \(> 1%\)"
+    with pytest.raises(RuntimeError, match=message):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "experiment, T_list, draws",
+    [("hurst-gamma-check", [1.0], 3), ("simulate", [2.0, 3.0], 1), ("exact-check", [2.0], 1)],
+)
+def test_each_replication_draws_its_driver_once_per_hurst(
+    tmp_path, monkeypatch, experiment, T_list, draws
+):
+    # hurst-gamma-check's five settings have three distinct H; every horizon
+    # and setting of one H scales the same unit driver
+    real = model.generate_fbm
+    calls = []
+
+    def counting(hurst, grid, seed):
+        calls.append((hurst, seed))
+        return real(hurst, grid, seed)
+
+    monkeypatch.setattr(model, "generate_fbm", counting)
+    n_grid = 4096 if experiment == "hurst-gamma-check" else 64
+    cfg = _config(tmp_path, experiment=experiment, T_list=T_list, n_grid=n_grid, replications=70)
+    run_experiment(cfg)
+    assert len(calls) == draws * 70
+    assert len(set(calls)) == len(calls)
+
+
+def test_recovery_check_builds_one_engine_per_hurst(tmp_path, monkeypatch):
+    # at H = 0.75 the five settings have four distinct H, one more than the
+    # engine cache holds; the block runs H by H, so no engine is rebuilt
+    # per replication
+    built = []
+
+    class CountingEngine(transforms.PanelEngine):
+        def __init__(self, grid, hurst, *args, **kwargs):
+            built.append((grid, hurst))
+            super().__init__(grid, hurst, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "PanelEngine", CountingEngine)
+    transforms.shared_engine.cache_clear()
+    params = dict(DESK_PARAMS, hurst=0.75)
+    cfg = _config(
+        tmp_path, experiment="hurst-gamma-check", params=params, n_grid=4096, replications=10
+    )
+    run_experiment(cfg)
+    transforms.shared_engine.cache_clear()
+    assert sorted(hurst for _, hurst in built) == [0.6, 0.7, 0.75, 0.8]
+
+
+def test_two_horizon_simulate_writes_the_files_of_one_run_per_horizon(tmp_path):
+    base = {"experiment": "simulate", "n_grid": 64, "replications": 70}
+    both = run_experiment(
+        _config(tmp_path, output_dir=str(tmp_path / "both"), T_list=[2.0, 3.0], **base)
+    )
+    seeds = {}
+    for tag in ("2", "3"):
+        out = tmp_path / tag
+        one = run_experiment(_config(tmp_path, output_dir=str(out), T_list=[float(tag)], **base))
+        seeds.update(one.details["path_seeds"])
+        names = [name for name in os.listdir(out) if name.startswith("path_")]
+        assert len(names) == 70
+        for name in names:
+            assert filecmp.cmp(tmp_path / "both" / name, out / name, shallow=False)
+    assert both.details["path_seeds"] == seeds
+    assert len(os.listdir(tmp_path / "both")) == 2 * 70 + 1
+
+
+def test_recovery_check_worker_invariance_bitwise(tmp_path):
+    # two blocks of replications, each running all five settings
+    base = {"experiment": "hurst-gamma-check", "T_list": [1.0], "n_grid": 4096, "replications": 70}
+    reports = [
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / f"w{k}"), workers=k, **base))
+        for k in (1, 2)
+    ]
+    w1, w2 = (tmp_path / w / "recovery.csv" for w in ("w1", "w2"))
+    assert filecmp.cmp(w1, w2, shallow=False)
+    assert reports[0].details == reports[1].details
 
 
 def test_failed_list_always_present(tmp_path):

@@ -85,6 +85,14 @@ def test_driver_grid_mismatch_rejected():
         simulate_exact(DESK, grid, driver=drv)
 
 
+def test_driver_hurst_mismatch_rejected():
+    # a driver drawn at H = 0.6 must not simulate a model with H = 0.7
+    grid = SampleGrid(horizon=2.0, n=64)
+    drv = generate_fbm(0.6, grid, seed=1)
+    with pytest.raises(ValueError, match=r"driver H = 0\.6 does not match model H = 0\.7"):
+        simulate_exact(DESK, grid, driver=drv)
+
+
 def test_exact_refuses_overflowing_horizon():
     # exp(beta t) overflows once beta*T passes ~709, on either branch
     grid = SampleGrid(horizon=400.0, n=1024)
