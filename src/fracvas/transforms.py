@@ -17,8 +17,8 @@ PanelEngine applies in one of two ways.  k is homogeneous of degree 1 - 2H,
 so the weights are built once at unit spacing, shared by every horizon on
 n cells, and scaled by dt^{1-2H}.  Interior cells use the kernel
 midpoint value; the two endpoint cells of every output time, where k has
-the integrable singularities s^{1/2-H} and (t-s)^{1/2-H}, use exact
-Gauss-Jacobi cell integrals with those weights.  At H = 1/2 the scheme is
+the integrable singularities s^{1/2-H} and (t-s)^{1/2-H}, use the exact
+cell integral, an incomplete Beta function.  At H = 1/2 the scheme is
 exact on the path's linear interpolant (kernel identically one).  dX
 integrals consume path increments and ds integrals cell midpoint values.
 Row j of the weights is zero past its last cell, so the dense form keeps
@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import beta, betainc, gammaln
 
 from .fbm import SampleGrid
 
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 _DEFAULT_STRIDE = 16
-_END_RULE_NODES = 8
 _MAX_DENSE_CELLS = 5_000_000
 _DENSE_ROW_BLOCKS = 8
 _QV_MAX_BLOCKS = 2048
@@ -98,12 +98,6 @@ def constants(hurst: float, gamma: float) -> KernelConstants:
     return KernelConstants(
         hurst=hurst, gamma=gamma, kappa=kappa, lam=lam, lam_star=lam_star, rho=rho
     )
-
-
-def _jacobi_rule_01(n: int, left_exp: float, right_exp: float):
-    """Nodes/weights for int_0^1 u^left (1-u)^right f(u) du."""
-    x, w = roots_jacobi(n, right_exp, left_exp)
-    return 0.5 * (x + 1.0), w * 2.0 ** (-(left_exp + right_exp + 1.0))
 
 
 @dataclass(frozen=True)
@@ -149,17 +143,12 @@ def _unit_weights(n: int, hurst: float, stride: int, dense: bool) -> tuple[np.nd
     m = n // stride
     m_pow = (np.arange(n) + 0.5) ** a
     last = np.arange(1, m + 1) * stride - 1
-    # end cells: exact Gauss-Jacobi cell average minus the midpoint value
-    v_l, wt_l = _jacobi_rule_01(_END_RULE_NODES, a, 0.0)
-    v_r, wt_r = _jacobi_rule_01(_END_RULE_NODES, 0.0, a)
-    t_col = (last + 1.0)[:, None]
-    mid = m_pow[0] * m_pow[last]
-    first_fix = (t_col - v_l[None, :]) ** a @ wt_l - mid
-    last_fix = ((t_col - 1.0) + v_r[None, :]) ** a @ wt_r - mid
-    if stride == 1:
-        # single-cell row: both singular ends in one cell, exact Beta value
-        first_fix[0] = math.exp(2.0 * gammaln(1.0 + a) - gammaln(2.0 + 2.0 * a)) - mid[0]
-        last_fix[0] = 0.0
+    # end cells: the exact integral of s^a (t-s)^a on [0, 1] minus the midpoint
+    # value, the same on the last cell [t-1, t] by symmetry unless t = 1
+    t = last + 1.0
+    first_fix = t ** (2.0 * a + 1.0) * beta(a + 1.0, a + 1.0) * betainc(a + 1.0, a + 1.0, 1.0 / t)
+    first_fix -= m_pow[0] * m_pow[last]
+    last_fix = np.where(last > 0, first_fix, 0.0)
 
     if dense:
         # row j reads m_pow backwards from its last cell, zeros past it;
@@ -189,7 +178,8 @@ class PanelEngine:
     Row j of the weights is output time t_j = j * stride * dt and holds the
     kernel on the path cells below it: the midpoint value m_pow[i] *
     m_pow[j*stride - 1 - i] / kappa with m_pow = mids^(1/2-H), corrected
-    to the exact Gauss-Jacobi cell average on the row's first and last cell.
+    to the exact cell integral (an incomplete Beta function) on the row's
+    first and last cell.
     The engine holds the read-only weights at unit spacing, shared by every
     engine with the same (n, H, stride), and multiplies its output by
     dt^(1-2H) / kappa.  One weight definition, two ways to apply it: when
@@ -202,6 +192,8 @@ class PanelEngine:
 
     def __init__(self, grid: SampleGrid, hurst: float, stride: int = _DEFAULT_STRIDE) -> None:
         _check_transform_hurst(hurst)
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral):
+            raise ValueError(f"stride must be an integer, got {stride!r}")
         if stride < 1 or grid.n % stride != 0:
             raise ValueError(f"stride must divide n={grid.n}, got {stride!r}")
         n = grid.n

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import bisect
-from scipy.special import iv, ive
+from scipy.special import iv, ive, roots_jacobi
 
 from fracvas.fbm import FbmPath, SampleGrid, _check_hurst
 from fracvas.limits import (
@@ -34,7 +34,6 @@ from fracvas.transforms import (
     PanelEngine,
     SufficientStats,
     _check_transform_hurst,
-    _jacobi_rule_01,
     constants,
 )
 
@@ -266,6 +265,12 @@ def refinement_check(
     if max(gaps.values()) > rtol:
         raise QuadratureConvergenceError(f"quadrature not converged: {gaps}")
     return gaps
+
+
+def _jacobi_rule_01(n: int, left_exp: float, right_exp: float):
+    """Nodes/weights for int_0^1 u^left (1-u)^right f(u) du."""
+    x, w = roots_jacobi(n, right_exp, left_exp)
+    return 0.5 * (x + 1.0), w * 2.0 ** (-(left_exp + right_exp + 1.0))
 
 
 def reconstruct_X(

@@ -30,6 +30,17 @@ def test_no_oracle_is_a_package_export():
     assert [name for name in defined if hasattr(fracvas, name)] == []
 
 
+def _fresh_process_stdout(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports this fracvas."""
+    path = [str(Path(fracvas.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return result.stdout.strip()
+
+
 def test_import_loads_no_scipy_stats_integrate_or_optimize():
     # each of these costs every process 0.2-0.5 s and tens of MiB at import,
     # and tests keep them as oracles only
@@ -38,13 +49,28 @@ def test_import_loads_no_scipy_stats_integrate_or_optimize():
         "heavy = ('scipy.stats', 'scipy.integrate', 'scipy.optimize')\n"
         "print(sorted(m for m in sys.modules if m.startswith(heavy)))"
     )
-    path = [str(Path(fracvas.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+    assert _fresh_process_stdout(code) == "[]"
+
+
+def test_building_an_engine_loads_no_scipy_linalg():
+    # scipy.linalg is 43 modules and about 0.05 s per process; the engine's
+    # end-cell weights are closed forms, so no path should pull it in (a
+    # Gauss-Jacobi rule from scipy.special.roots_jacobi would)
+    code = (
+        "import sys\n"
+        "from fracvas import transforms\n"
+        "from fracvas.estimators import estimate_gamma\n"
+        "from fracvas.fbm import SampleGrid\n"
+        "from fracvas.model import ModelParams, simulate_exact\n"
+        "params = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)\n"
+        "path = simulate_exact(params, SampleGrid(5.0, 4096), seed=1)\n"
+        "for cells in (transforms._MAX_DENSE_CELLS, 1):\n"
+        "    transforms._MAX_DENSE_CELLS = cells\n"
+        "    transforms.PanelEngine(path.grid, 0.7).statistics(path.values, 1.0)\n"
+        "estimate_gamma(path, 0.7)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     )
-    assert result.stdout.strip() == "[]"
+    assert _fresh_process_stdout(code) == "[]"
 
 
 def test_every_scipy_import_in_the_package_is_special_or_fft():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -64,6 +65,11 @@ def test_engine_validation():
         PanelEngine(grid, 0.3, stride=16)
     with pytest.raises(ValueError):
         PanelEngine(grid, 1.0, stride=16)
+    # a float or bool stride is refused by name, as SampleGrid refuses its n
+    with pytest.raises(ValueError, match="stride must be an integer, got 16.0"):
+        PanelEngine(grid, 0.7, stride=16.0)
+    with pytest.raises(ValueError, match="stride must be an integer, got True"):
+        PanelEngine(grid, 0.7, stride=True)
     # H = 1/2 is allowed for the transforms even though the model excludes it
     PanelEngine(grid, 0.5, stride=16)
 
@@ -114,6 +120,37 @@ def test_stride_one_first_row_is_exact_beta_value(monkeypatch):
             monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
             Z, _ = PanelEngine(grid, hurst, stride=1).raw_panels(grid.times())
             assert abs(Z[0, 1] - w_dt) < 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4, 16])
+@pytest.mark.parametrize("hurst", [0.51, 0.7, 0.95, 0.99])
+def test_end_cell_fixes_match_mpmath_cell_integrals(monkeypatch, hurst, stride):
+    # Row j ends at t = (j + 1) * stride cells (unit spacing).  Its first cell
+    # [0, 1] and last cell [t-1, t] carry the integral of s^a (t-s)^a over the
+    # cell minus the midpoint value.  The FFT form stores these fixes; a dense
+    # row holds midpoint value plus fix, so the fix is read back from it.
+    a = 0.5 - hurst
+    grid = SampleGrid(horizon=1.0, n=64)
+    monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
+    fft = PanelEngine(grid, hurst, stride=stride)
+    monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
+    dense_rows = [row for block in PanelEngine(grid, hurst, stride=stride)._weights for row in block]
+    m_pow = fft._m_pow
+    for j in range(4):
+        t = (j + 1) * stride
+        mid = m_pow[0] * m_pow[t - 1]
+        with mpmath.workdps(40):
+            first, last = (
+                float(mpmath.quad(lambda s: s**a * (t - s) ** a, cell)) for cell in ([0, 1], [t - 1, t])
+            )
+        pairs = [(fft._first_fix[j], first), (dense_rows[j][0] - mid, first)]
+        if t == 1:
+            # one cell holds both singular ends: the first fix is its whole fix
+            assert fft._last_fix[j] == 0.0
+        else:
+            pairs += [(fft._last_fix[j], last), (dense_rows[j][t - 1] - mid, last)]
+        for fix, integral in pairs:
+            assert abs(fix - (integral - mid)) < 1e-14 * integral
 
 
 def test_transform_refuses_cells_that_are_not_one_row_per_path(monkeypatch):
