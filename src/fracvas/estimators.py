@@ -107,18 +107,19 @@ def estimate_gamma(path, hurst: float) -> float:
     squared increments over any refining partition sum to gamma^2 w(T),
     unbiased at any partition since Z has independent Gaussian increments.
     Z alone (no F, P, I or K) comes from one `PanelEngine.transform` on the
-    engine the drift statistics use, `shared_engine(grid, hurst)`, and
-    `quadratic_variation` applies the partition `statistics` uses.
+    engine the drift statistics use, `shared_engine(grid.n, hurst)`, and
+    `quadratic_variation` applies the partition `statistics` uses; w(T)
+    comes from the engine's kernel constants.
     """
     values, grid = _path_arrays(path)
     if grid.n < _MIN_RECOVERY_N:
         raise ValueError(f"noise recovery needs n >= {_MIN_RECOVERY_N}, got {grid.n}")
-    engine = shared_engine(grid, hurst)
-    z = np.pad(engine.transform(np.diff(values)[None, :]), ((0, 0), (1, 0)))
+    engine = shared_engine(grid.n, hurst)
+    z = np.pad(engine.transform(np.diff(values)[None, :], grid), ((0, 0), (1, 0)))
     variation = float(quadratic_variation(z)[0])
     if not variation > 0.0:
         raise DegenerateStatsError("flat path: zero quadratic variation")
-    return math.sqrt(variation / float(engine.w_inner[-1]))
+    return math.sqrt(variation / float(engine.kc.w(grid.horizon)))
 
 
 def estimate_hurst(path) -> float:

@@ -459,15 +459,6 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     return pow10, quads, zeros, keep.view(np.uint32).ravel()
 
 
-@functools.lru_cache(maxsize=2)
-def _time_cells(grid: SampleGrid) -> np.ndarray:
-    """Formatted time column of a path file on `grid`; every path of a
-    horizon shares it."""
-    cells = _float_cells(grid.times())
-    cells.flags.writeable = False
-    return cells
-
-
 def _tag(T: float) -> str:
     return format(float(T), "g")
 
@@ -489,22 +480,27 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
     one large driver is live at a time.  H by H, which keeps the engine
     estimate_gamma fetches cached, each chunk's drivers are drawn once on
     the unit grid and scaled by dt^H into each cell of that H: bitwise the
-    paths generate_fbm draws at those horizons (see fracvas.fbm).
+    paths generate_fbm draws at those horizons (see fracvas.fbm).  The stats
+    modes share one engine per H over its horizons, and paths mode formats
+    each cell's time column once per block.
 
     Must stay a top-level function: worker pools pickle it by name.
     """
     mode, config, cells, lo, hi = task
     grids = [SampleGrid(horizon=T, n=config.n_grid) for _, T in cells]
+    hursts = list(dict.fromkeys(p.hurst for p, _ in cells))
     # fetched before the block's paths exist, so a first (dense) engine
     # build does not hold them in memory
     stats = mode.startswith("stats")
-    engines = [shared_engine(g, p.hurst) if stats else None for (p, _), g in zip(cells, grids)]
+    engines = {h: shared_engine(config.n_grid, h) for h in hursts} if stats else {}
+    times = [_float_cells(g.times()) if mode == "paths" else None for g in grids]
     unit = SampleGrid(float(config.n_grid), config.n_grid)
     seeds = [replication_seed(config.master_seed, rep) for rep in range(lo, hi)]
     step = len(seeds) if stats else 1
     out: list[list] = [[] for _ in cells]
-    for hurst in dict.fromkeys(p.hurst for p, _ in cells):
+    for hurst in hursts:
         group = [k for k, (p, _) in enumerate(cells) if p.hurst == hurst]
+        engine = engines.get(hurst)
         for c in range(0, len(seeds), step):
             chunk = seeds[c : c + step]
             units, errors = np.empty((len(chunk), unit.n + 1)), {}
@@ -515,7 +511,7 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
                 except Exception as exc:  # noqa: BLE001 - fails the replication in each cell of H
                     errors[i] = exc
             for k in group:
-                args = (cells[k][0], grids[k], engines[k], lo + c, chunk, units, errors)
+                args = (cells[k][0], grids[k], engine, times[k], lo + c, chunk, units, errors)
                 out[k].append(_cell_chunk(mode, config, *args, last=k == group[-1]))
     return out
 
@@ -526,6 +522,7 @@ def _cell_chunk(
     params: ModelParams,
     grid: SampleGrid,
     engine: PanelEngine | None,
+    time_cells: np.ndarray | None,
     lo: int,
     seeds: list[int],
     units: np.ndarray,
@@ -535,8 +532,10 @@ def _cell_chunk(
     """One cell of a chunk: (columns, failures) over replications lo, lo + 1, ...
 
     Row i of `units` is replication lo + i's unit driver, unless its draw
-    raised errors[i].  The `last` cell of an H stores its surviving paths
-    over their drivers: row len(reps) - 1 <= i, and row i is read already.
+    raised errors[i].  In paths mode every path file on `grid` writes the
+    formatted time column `time_cells`.  The `last` cell of an H stores its
+    surviving paths over their drivers: row len(reps) - 1 <= i, and row i
+    is read already.
     """
     scale = grid.dt**params.hurst
     # surviving paths fill the chunk's rows in order, so no per-path list is copied
@@ -564,7 +563,7 @@ def _cell_chunk(
         kept_seeds.append(seed)
         if mode == "paths":
             out = os.path.join(config.output_dir, _path_csv_name(grid.horizon, rep))
-            _write_csv(out, {"t": _time_cells(grid), "value": path.values})
+            _write_csv(out, {"t": time_cells, "value": path.values})
         elif engine is not None:
             values[len(reps) - 1] = path.values
         if mode == "stats+est":
@@ -585,7 +584,7 @@ def _cell_chunk(
 
     stage = "stats"
     try:
-        stats = engine.statistics(values[: len(reps)], params.gamma)
+        stats = engine.statistics(values[: len(reps)], grid, params.gamma)
         columns.update(S=stats.S, I=stats.I, J=stats.J, K=stats.K, w=np.full(len(reps), stats.w))
         if mode == "stats+est":
             g = params.gamma

@@ -14,11 +14,12 @@ and the horizon statistics
 Numerics: integrals against the path are Riemann-Stieltjes product sums on
 the path cells, with one weight definition per (n, H, stride) that
 PanelEngine applies in one of two ways.  k is homogeneous of degree 1 - 2H,
-so the weights are built once at unit spacing, shared by every horizon on
-n cells, and scaled by dt^{1-2H}.  Interior cells use the kernel
-midpoint value; the two endpoint cells of every output time, where k has
-the integrable singularities s^{1/2-H} and (t-s)^{1/2-H}, use the exact
-cell integral, an incomplete Beta function.  At H = 1/2 the scheme is
+so an engine is built for (n, H, stride) alone: it holds the weights at
+unit spacing, and each call scales them by the dt^{1-2H} of the grid it is
+given, so one engine serves every horizon on n cells.  Interior cells use
+the kernel midpoint value; the two endpoint cells of every output time,
+where k has the integrable singularities s^{1/2-H} and (t-s)^{1/2-H}, use
+the exact cell integral, an incomplete Beta function.  At H = 1/2 the scheme is
 exact on the path's linear interpolant (kernel identically one).  dX
 integrals consume path increments and ds integrals cell midpoint values.
 Row j of the weights is zero past its last cell, so the dense form keeps
@@ -130,104 +131,89 @@ class SufficientStats:
             raise ValueError(f"w must be positive, got {self.w}")
 
 
-@functools.lru_cache(maxsize=3)
-def _unit_weights(n: int, hurst: float, stride: int, dense: bool) -> tuple[np.ndarray, ...]:
-    """PanelEngine weights at unit spacing (dt = 1) without the 1/kappa, read-only.
-
-    Dense: the staircase row blocks.  Else the FFT pieces (m_pow, last,
-    first_fix, last_fix, rfft of m_pow).  Cached, because at n = 8192 the dense blocks
-    (18 MiB at stride 16) cost far more to build than to apply, and every
-    horizon on n cells shares them.
-    """
-    a = 0.5 - hurst
-    m = n // stride
-    m_pow = (np.arange(n) + 0.5) ** a
-    last = np.arange(1, m + 1) * stride - 1
-    # end cells: the exact integral of s^a (t-s)^a on [0, 1] minus the midpoint
-    # value, the same on the last cell [t-1, t] by symmetry unless t = 1
-    t = last + 1.0
-    first_fix = t ** (2.0 * a + 1.0) * beta(a + 1.0, a + 1.0) * betainc(a + 1.0, a + 1.0, 1.0 / t)
-    first_fix -= m_pow[0] * m_pow[last]
-    last_fix = np.where(last > 0, first_fix, 0.0)
-
-    if dense:
-        # row j reads m_pow backwards from its last cell, zeros past it;
-        # each row block keeps only the columns up to its last row's cell
-        reversed_pad = np.concatenate([m_pow[::-1], np.zeros(n)])
-        hankel = np.lib.stride_tricks.sliding_window_view(reversed_pad, n)
-        edges = sorted({m * k // _DENSE_ROW_BLOCKS for k in range(_DENSE_ROW_BLOCKS + 1)})
-        weights = []
-        for r0, r1 in zip(edges[:-1], edges[1:]):
-            cols = r1 * stride
-            block = hankel[n - 1 - last[r0:r1], :cols]
-            block *= m_pow[:cols]
-            block[:, 0] += first_fix[r0:r1]
-            block[np.arange(r1 - r0), last[r0:r1]] += last_fix[r0:r1]
-            weights.append(block)
-    else:
-        spectrum = sfft.rfft(m_pow, sfft.next_fast_len(2 * n - 1))
-        weights = [m_pow, last, first_fix, last_fix, spectrum]
-    for array in weights:
-        array.flags.writeable = False
-    return tuple(weights)
-
-
 class PanelEngine:
-    """Kernel-weight quadrature for one (grid, H, stride).
+    """Kernel-weight quadrature for one (n, H, stride), at any horizon.
 
     Row j of the weights is output time t_j = j * stride * dt and holds the
     kernel on the path cells below it: the midpoint value m_pow[i] *
     m_pow[j*stride - 1 - i] / kappa with m_pow = mids^(1/2-H), corrected
     to the exact cell integral (an incomplete Beta function) on the row's
     first and last cell.
-    The engine holds the read-only weights at unit spacing, shared by every
-    engine with the same (n, H, stride), and multiplies its output by
-    dt^(1-2H) / kappa.  One weight definition, two ways to apply it: when
-    it is small, dense row blocks that each store only the columns up to
-    their last row's cell (the zeros above the staircase are neither stored
-    nor multiplied); else an FFT convolution of the cells with m_pow
-    (spectrum cached) plus the two corrections.  One engine serves a Monte
-    Carlo loop.
+    k is homogeneous of degree 1 - 2H, so the engine holds read-only weights
+    at unit spacing without the 1/kappa, and each call takes the grid of its
+    paths and scales by that grid's dt^(1-2H) / kappa: one engine serves
+    every horizon on n cells.  One weight definition, two ways to apply it:
+    when it is small, dense row blocks that each store only the columns up
+    to their last row's cell (the zeros above the staircase are neither
+    stored nor multiplied); else an FFT convolution of the cells with m_pow
+    (spectrum precomputed) plus the two corrections.  At n = 8192 the dense
+    blocks (18 MiB at stride 16) cost far more to build than to apply, so
+    one engine serves a Monte Carlo loop.
     """
 
-    def __init__(self, grid: SampleGrid, hurst: float, stride: int = _DEFAULT_STRIDE) -> None:
+    def __init__(self, n: int, hurst: float, stride: int = _DEFAULT_STRIDE) -> None:
         _check_transform_hurst(hurst)
-        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral):
-            raise ValueError(f"stride must be an integer, got {stride!r}")
-        if stride < 1 or grid.n % stride != 0:
-            raise ValueError(f"stride must divide n={grid.n}, got {stride!r}")
-        n = grid.n
+        for name, value in (("n", n), ("stride", stride)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if stride < 1 or n % stride != 0:
+            raise ValueError(f"stride must divide n={n}, got {stride!r}")
         m = n // stride
         if m < 4:
             raise ValueError("inner grid needs at least 4 points")
-        self.grid = grid
+        self.n = n
         self.hurst = hurst
         self.stride = stride
         self.n_inner = m
         self.kc = constants(hurst, 1.0)
-        self.inner_times = grid.times()[::stride]  # includes t=0
-        self.w_inner = self.kc.w(self.inner_times)
-        # k is homogeneous of degree 1 - 2H: unit-spacing weights times dt^(1-2H)
-        self._scale = grid.dt ** (1.0 - 2.0 * hurst) / self.kc.kappa
-        dense = m * n <= _MAX_DENSE_CELLS
-        weights = _unit_weights(n, hurst, stride, dense)
-        if dense:
-            self._weights = weights
+
+        a = 0.5 - hurst
+        m_pow = (np.arange(n) + 0.5) ** a
+        last = np.arange(1, m + 1) * stride - 1
+        # end cells: the exact integral of s^a (t-s)^a on [0, 1] minus the midpoint
+        # value, the same on the last cell [t-1, t] by symmetry unless t = 1
+        t = last + 1.0
+        first_fix = t ** (2.0 * a + 1.0) * beta(a + 1.0, a + 1.0)
+        first_fix *= betainc(a + 1.0, a + 1.0, 1.0 / t)
+        first_fix -= m_pow[0] * m_pow[last]
+        last_fix = np.where(last > 0, first_fix, 0.0)
+
+        if m * n <= _MAX_DENSE_CELLS:
+            # row j reads m_pow backwards from its last cell, zeros past it;
+            # each row block keeps only the columns up to its last row's cell
+            reversed_pad = np.concatenate([m_pow[::-1], np.zeros(n)])
+            hankel = np.lib.stride_tricks.sliding_window_view(reversed_pad, n)
+            edges = sorted({m * k // _DENSE_ROW_BLOCKS for k in range(_DENSE_ROW_BLOCKS + 1)})
+            weights = []
+            for r0, r1 in zip(edges[:-1], edges[1:]):
+                cols = r1 * stride
+                block = hankel[n - 1 - last[r0:r1], :cols]
+                block *= m_pow[:cols]
+                block[:, 0] += first_fix[r0:r1]
+                block[np.arange(r1 - r0), last[r0:r1]] += last_fix[r0:r1]
+                weights.append(block)
+            self._weights = tuple(weights)
         else:
             self._weights = None
+            self._fft_len = sfft.next_fast_len(2 * n - 1)
+            weights = [m_pow, last, first_fix, last_fix, sfft.rfft(m_pow, self._fft_len)]
             self._m_pow, self._last, self._first_fix, self._last_fix, self._kernel_spectrum = (
                 weights
             )
-            self._fft_len = sfft.next_fast_len(2 * n - 1)
+        for array in weights:
+            array.flags.writeable = False
 
-    def transform(self, cells: np.ndarray) -> np.ndarray:
+    def transform(self, cells: np.ndarray, grid: SampleGrid) -> np.ndarray:
         """Row sums of the weights against per-cell data, one row per path.
 
-        `cells` is 2-D with n values per path (increments for Z, midpoint
-        values for F); the result has one column per inner time after t = 0.
+        `cells` is 2-D with n values per path on `grid` (increments for Z,
+        midpoint values for F); the result has one column per inner time
+        after t = 0.  A grid with another n than the engine's is refused.
         """
-        if cells.ndim != 2 or cells.shape[1] != self.grid.n:
-            raise ValueError(f"expected cells of shape (paths, {self.grid.n}), got {cells.shape}")
+        if grid.n != self.n:
+            raise ValueError(f"engine is built for n={self.n}, got a grid with n={grid.n}")
+        if cells.ndim != 2 or cells.shape[1] != self.n:
+            raise ValueError(f"expected cells of shape (paths, {self.n}), got {cells.shape}")
         if self._weights is not None:
             out = np.empty((cells.shape[0], self.n_inner))
             r0 = 0
@@ -240,18 +226,19 @@ class PanelEngine:
             # reads, which is freed before irfft allocates; at n = 65536
             # each full-size temporary is 1 MiB of fresh pages per path
             padded = np.zeros((cells.shape[0], self._fft_len))
-            np.multiply(cells, self._m_pow, out=padded[:, : self.grid.n])
+            np.multiply(cells, self._m_pow, out=padded[:, : self.n])
             spectrum = sfft.rfft(padded, axis=1)
             del padded
             spectrum *= self._kernel_spectrum
             out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)[:, self._last]
             out += self._first_fix * cells[:, :1]
             out += self._last_fix * cells[:, self._last]
-        out *= self._scale
+        # k is homogeneous of degree 1 - 2H: unit-spacing weights times dt^(1-2H)
+        out *= grid.dt ** (1.0 - 2.0 * self.hurst) / self.kc.kappa
         return out
 
-    def raw_panels(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, F) panels for a batch of paths, inner times including t=0.
+    def raw_panels(self, values: np.ndarray, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, F) panels for a batch of paths on `grid`, inner times including t=0.
 
         Z is the dX transform before the 1/gamma scaling (so S = Z/gamma);
         F is the ds transform of the path itself.
@@ -262,23 +249,24 @@ class PanelEngine:
         f = np.zeros((r, self.n_inner + 1))
         # one cell buffer: the increments, then the midpoint values times dt
         cells = np.diff(values, axis=1)
-        z[:, 1:] = self.transform(cells)
+        z[:, 1:] = self.transform(cells, grid)
         np.add(values[:, 1:], values[:, :-1], out=cells)
         cells *= 0.5
-        cells *= self.grid.dt
-        f[:, 1:] = self.transform(cells)
+        cells *= grid.dt
+        f[:, 1:] = self.transform(cells, grid)
         return z, f
 
-    def derivative_panel(self, f: np.ndarray, gamma: float) -> np.ndarray:
-        """P on inner times[1:]: centered dF/dw, one-sided at the horizon."""
-        w = self.w_inner
+    def derivative_panel(self, f: np.ndarray, grid: SampleGrid, gamma: float) -> np.ndarray:
+        """P on inner times[1:] of `grid`: centered dF/dw, one-sided at the horizon."""
+        w = self.kc.w(grid.times()[:: self.stride])
         p = np.empty((f.shape[0], self.n_inner))
         p[:, :-1] = (f[:, 2:] - f[:, :-2]) / (w[2:] - w[:-2]) / gamma
         p[:, -1] = (f[:, -1] - f[:, -2]) / (w[-1] - w[-2]) / gamma
         return p
 
-    def statistics(self, values: np.ndarray, gamma: float) -> SufficientStats:
-        """Batched horizon statistics S, I, J, K and qv, plus the scalar w.
+    def statistics(self, values: np.ndarray, grid: SampleGrid, gamma: float) -> SufficientStats:
+        """Batched horizon statistics S, I, J, K and qv of paths on `grid`,
+        plus the scalar w = w(T).
 
         I = int P dS and K = int P^2 dw are left-point sums on the inner
         grid, each backfilling its integrand on [0, t_1] with the t_1 value.
@@ -294,11 +282,12 @@ class PanelEngine:
             raise ValueError(f"gamma must be positive, got {gamma!r}")
         # an overflow shows up as a non-finite statistic, refused by name
         with np.errstate(over="ignore", invalid="ignore"):
-            z, f = self.raw_panels(values)
+            z, f = self.raw_panels(values, grid)
             s = z / gamma
             ds = np.diff(s, axis=1)
-            dw = np.diff(self.w_inner)
-            p = self.derivative_panel(f, gamma)
+            w = self.kc.w(grid.times()[:: self.stride])
+            dw = np.diff(w)
+            p = self.derivative_panel(f, grid, gamma)
             p_causal = np.diff(f, axis=1) / dw / gamma
             p_left = np.concatenate([p[:, :1], p[:, :-1]], axis=1)
             pc_left = np.concatenate([p_causal[:, :1], p_causal[:, :-1]], axis=1)
@@ -309,7 +298,7 @@ class PanelEngine:
                 J=f[:, -1] / gamma,
                 K=(p_left**2) @ dw,
                 qv=quadratic_variation(s),
-                w=float(self.w_inner[-1]),
+                w=float(w[-1]),
             )
 
 
@@ -324,12 +313,11 @@ def quadratic_variation(panel: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=3)
-def shared_engine(grid: SampleGrid, hurst: float) -> PanelEngine:
-    """Engine for (grid, H) at the default stride, reused across calls.
+def shared_engine(n: int, hurst: float) -> PanelEngine:
+    """Engine for (n, H) at the default stride, reused across calls.
 
-    Engines are immutable after construction; the cache holds a few of them
-    (simulation plus estimation configurations).  The costly part, the
-    weights, is cached per (n, H, stride) underneath, so engines for other
-    horizons on the same n share it.
+    Engines are immutable after construction and serve every horizon on n
+    cells; the cache holds a few of them (simulation plus estimation
+    configurations).
     """
-    return PanelEngine(grid, hurst)
+    return PanelEngine(n, hurst)

@@ -256,8 +256,9 @@ def refinement_check(
     if stride % 2 != 0:
         raise ValueError("stride must be even to allow halving")
     params = path.params
-    coarse = PanelEngine(path.grid, params.hurst, stride).statistics(path.values, params.gamma)
-    fine = PanelEngine(path.grid, params.hurst, stride // 2).statistics(path.values, params.gamma)
+    grid, hurst = path.grid, params.hurst
+    coarse = PanelEngine(grid.n, hurst, stride).statistics(path.values, grid, params.gamma)
+    fine = PanelEngine(grid.n, hurst, stride // 2).statistics(path.values, grid, params.gamma)
     gaps = {}
     for name in ("S", "I", "J", "K"):
         c, f = float(getattr(coarse, name)[0]), float(getattr(fine, name)[0])
@@ -286,8 +287,8 @@ def reconstruct_X(
 
     with the inner integral done by Gauss-Jacobi in the (r-s)^{H-3/2} weight
     and the outer dS integral as a midpoint Riemann-Stieltjes sum over the
-    panel cells.  `times` and `s_values` are an S panel (for example
-    `PanelEngine.inner_times` and Z / gamma from `raw_panels`), which must be
+    panel cells.  `times` and `s_values` are an S panel (for example every
+    stride-th grid time and Z / gamma from `raw_panels`), which must be
     fine (stride 1..4).  Returns (times, values) at the requested panel
     indices (default: every panel node past the first eighth, where the dS
     history is long enough to resolve).

@@ -55,7 +55,7 @@ def test_mu_kappa_identity_and_errors():
     grid = SampleGrid(horizon=5.0, n=2**12)
     for r in range(5):
         path = simulate_exact(DESK, grid, seed=400_000 + r)
-        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
         alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
         mu_hat, kappa_hat = mle_mu_kappa(stats, DESK.gamma)
         assert mu_hat == pytest.approx(alpha_hat / beta_hat, rel=1e-12)
@@ -90,9 +90,9 @@ def test_non_finite_estimates_raise():
 
 def test_array_fields_match_per_row_scalars_bitwise():
     grid = SampleGrid(horizon=5.0, n=2**12)
-    engine = shared_engine(grid, DESK.hurst)
+    engine = shared_engine(grid.n, DESK.hurst)
     paths = [simulate_exact(DESK, grid, seed=500_000 + r).values for r in range(40)]
-    out = engine.statistics(np.asarray(paths), DESK.gamma)
+    out = engine.statistics(np.asarray(paths), grid, DESK.gamma)
     results = {
         "joint": mle_joint(out, DESK.gamma),
         "mu_kappa": mle_mu_kappa(out, DESK.gamma),
@@ -129,7 +129,7 @@ def test_array_fields_fail_as_a_block():
 def test_loglik_zero_at_reference_parameters():
     grid = SampleGrid(horizon=5.0, n=2**12)
     path = simulate_exact(DESK, grid, seed=400_100)
-    stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+    stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
     assert loglik(0.0, 0.0, stats, DESK.gamma) == 0.0
 
 
@@ -138,7 +138,7 @@ def test_mle_maximizes_loglik():
     rng = np.random.default_rng(11)
     for r in range(3):
         path = simulate_exact(DESK, grid, seed=400_200 + r)
-        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
         alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
         top = loglik(alpha_hat, beta_hat, stats, DESK.gamma)
         for _ in range(100):
@@ -156,7 +156,7 @@ def test_mle_maximizes_loglik():
 def test_loglik_gradient_vanishes_at_mle():
     grid = SampleGrid(horizon=5.0, n=2**12)
     path = simulate_exact(DESK, grid, seed=400_300)
-    stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+    stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
     alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
     h = 1e-5
     d_alpha = (
@@ -181,7 +181,7 @@ def test_joint_consistency_at_long_horizon():
     beta_hats = np.empty(500)
     for r in range(500):
         path = simulate_exact(DESK, grid, seed=210_000 + r)
-        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
         alpha_hat, beta_hat = mle_joint(stats, DESK.gamma)
         alpha_hats[r], beta_hats[r] = alpha_hat[0], beta_hat[0]
     assert np.median(np.abs(alpha_hats - DESK.alpha)) < 0.5
@@ -196,7 +196,7 @@ def test_alpha_known_beta_is_exactly_normal_smoke():
     z = np.empty(300)
     for r in range(300):
         path = simulate_exact(DESK, grid, seed=310_000 + r)
-        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
         a_t = mle_alpha(stats, DESK.gamma, beta_known=DESK.beta)[0]
         z[r] = 5.0 ** (1.0 - DESK.hurst) * (a_t - DESK.alpha) / math.sqrt(lam)
     assert abs(z.mean()) < 0.25
@@ -231,11 +231,11 @@ def test_gamma_recovery_reads_z_alone():
     for n, stride in ((2**12, 16), (2**16, 32)):
         grid = SampleGrid(horizon=2.0, n=n)
         path = simulate_exact(DESK, grid, seed=600_030)
-        engine = PanelEngine(grid, DESK.hurst, stride=stride)
-        out = engine.statistics(path.values, 1.0)
+        engine = PanelEngine(grid.n, DESK.hurst, stride=stride)
+        out = engine.statistics(path.values, grid, 1.0)
         assert estimate_gamma(path, DESK.hurst) == math.sqrt(out.qv[0] / out.w)
         with pytest.raises(ValueError, match="cells"):
-            engine.transform(np.diff(path.values)[None, 1:])
+            engine.transform(np.diff(path.values)[None, 1:], grid)
 
 
 def test_gamma_recovery_input_validation():

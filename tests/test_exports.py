@@ -66,7 +66,7 @@ def test_building_an_engine_loads_no_scipy_linalg():
         "path = simulate_exact(params, SampleGrid(5.0, 4096), seed=1)\n"
         "for cells in (transforms._MAX_DENSE_CELLS, 1):\n"
         "    transforms._MAX_DENSE_CELLS = cells\n"
-        "    transforms.PanelEngine(path.grid, 0.7).statistics(path.values, 1.0)\n"
+        "    transforms.PanelEngine(path.grid.n, 0.7).statistics(path.values, path.grid, 1.0)\n"
         "estimate_gamma(path, 0.7)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     )
@@ -111,3 +111,25 @@ def test_traced_benchmark_finds_every_span_name():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_traced_statistics_count_the_rows_of_the_block():
+    # the benchmark's per-layer row count reads `values`, the first argument
+    # of raw_panels, as the path block; the grid argument must not displace it
+    perfbench = Path(fracvas.__file__).parents[2] / "perfbench"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import numpy as np\n"
+        "from spans import Tracer\n"
+        "from fracvas.fbm import SampleGrid\n"
+        "from fracvas.transforms import PanelEngine\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "grid = SampleGrid(2.0, 512)\n"
+        "values = np.cumsum(np.random.default_rng(1).standard_normal((8, grid.n + 1)), axis=1)\n"
+        "PanelEngine(grid.n, 0.7).statistics(values, grid, 1.0)\n"
+        "span = tracer.totals()['transforms.raw_panels']\n"
+        "print(span['calls'], span['rows'])"
+    )
+    assert _fresh_process_stdout(code) == "1 8"

@@ -402,18 +402,19 @@ def _rows_17g(*columns) -> str:
 
 @pytest.mark.parametrize("horizon, n", [(0.1, 4), (1 / 3, 64), (5.0, 8192), (1e5, 16)])
 def test_path_rows_match_the_columnar_writer(tmp_path, horizon, n):
-    # a path file's rows, with the grid's cached time column, and the same
-    # columns given as floats both write Python's "%.17g" text of every row
+    # a path file's rows, with the grid's time column formatted beforehand,
+    # and the same columns given as floats both write Python's "%.17g" text
+    # of every row
     grid = SampleGrid(horizon=horizon, n=n)
     values = np.random.default_rng(n).standard_normal(n + 1)
     values[:5] = [0.0, -0.0, -1e-300, 1e-300, 1e300]
     oracle = "t,value\n" + _rows_17g(grid.times().tolist(), values.tolist())
-    generic, cached = tmp_path / "generic.csv", tmp_path / "cached.csv"
+    generic, formatted = tmp_path / "generic.csv", tmp_path / "formatted.csv"
     harness._write_csv(str(generic), {"t": grid.times(), "value": values})
-    harness._write_csv(str(cached), {"t": harness._time_cells(grid), "value": values})
+    harness._write_csv(str(formatted), {"t": harness._float_cells(grid.times()), "value": values})
     assert generic.read_text() == oracle
-    assert cached.read_text() == oracle
-    lines = cached.read_text().splitlines()
+    assert formatted.read_text() == oracle
+    lines = formatted.read_text().splitlines()
     assert lines[0] == "t,value" and len(lines) == n + 2
     parsed = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, 0], grid.times())
@@ -423,7 +424,7 @@ def test_path_rows_match_the_columnar_writer(tmp_path, horizon, n):
 
 def test_simulate_paths_carry_their_own_grid(tmp_path):
     # two horizons at one n: each file has its own grid's time column, so the
-    # cached time column is keyed by the whole grid, not by n
+    # time column is formatted per grid, not per n
     cfg = _config(tmp_path, experiment="simulate", T_list=[1.0, 2.0], n_grid=64, replications=2)
     run_experiment(cfg)
     for T in (1.0, 2.0):
@@ -618,7 +619,7 @@ def test_stats_block_keeps_the_surviving_paths_in_order(tmp_path, monkeypatch):
     grid = SampleGrid(horizon=2.0, n=512)
     seeds = [replication_seed(7, rep) for rep in columns["replication"]]
     values = np.stack([real(cfg.params, grid, seed=seed).values for seed in seeds])
-    stats = shared_engine(grid, cfg.params.hurst).statistics(values, cfg.params.gamma)
+    stats = shared_engine(grid.n, cfg.params.hurst).statistics(values, grid, cfg.params.gamma)
     for name in ("S", "I", "J", "K"):
         assert columns[name].tobytes() == getattr(stats, name).tobytes()
 
@@ -773,26 +774,62 @@ def test_each_replication_draws_its_driver_once_per_hurst(
     assert len(set(calls)) == len(calls)
 
 
-def test_recovery_check_builds_one_engine_per_hurst(tmp_path, monkeypatch):
-    # at H = 0.75 the five settings have four distinct H, one more than the
-    # engine cache holds; the block runs H by H, so no engine is rebuilt
-    # per replication
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """(n, H) of every PanelEngine built during the test, from an empty cache."""
     built = []
 
     class CountingEngine(transforms.PanelEngine):
-        def __init__(self, grid, hurst, *args, **kwargs):
-            built.append((grid, hurst))
-            super().__init__(grid, hurst, *args, **kwargs)
+        def __init__(self, n, hurst, *args, **kwargs):
+            built.append((n, hurst))
+            super().__init__(n, hurst, *args, **kwargs)
 
     monkeypatch.setattr(transforms, "PanelEngine", CountingEngine)
     transforms.shared_engine.cache_clear()
+    yield built
+    transforms.shared_engine.cache_clear()
+
+
+def test_recovery_check_builds_one_engine_per_hurst(tmp_path, engine_builds):
+    # at H = 0.75 the five settings have four distinct H, one more than the
+    # engine cache holds; the block runs H by H, so no engine is rebuilt
+    # per replication
     params = dict(DESK_PARAMS, hurst=0.75)
     cfg = _config(
         tmp_path, experiment="hurst-gamma-check", params=params, n_grid=4096, replications=10
     )
     run_experiment(cfg)
-    transforms.shared_engine.cache_clear()
-    assert sorted(hurst for _, hurst in built) == [0.6, 0.7, 0.75, 0.8]
+    assert sorted(hurst for _, hurst in engine_builds) == [0.6, 0.7, 0.75, 0.8]
+
+
+def test_limit_check_builds_one_engine_for_every_horizon(tmp_path, engine_builds):
+    # the weights depend on (n, H) alone, so the statistics at T = 6, 9 and
+    # 12 and every estimate_gamma call run on one engine
+    cfg = _config(
+        tmp_path, experiment="limit-check", T_list=[6.0, 9.0, 12.0], n_grid=8192, replications=10
+    )
+    run_experiment(cfg)
+    assert engine_builds == [(8192, 0.7)]
+
+
+def test_simulate_formats_each_time_column_once_per_block(tmp_path, monkeypatch):
+    # every path file of a horizon writes the same time column; three
+    # horizons in one block format three columns, not one per path
+    real = harness._float_cells
+    grids = [SampleGrid(horizon=T, n=64) for T in (1.0, 2.0, 3.0)]
+    formatted = []
+
+    def counting(x):
+        formatted.extend(g.horizon for g in grids if np.array_equal(x, g.times()))
+        return real(x)
+
+    monkeypatch.setattr(harness, "_float_cells", counting)
+    cfg = _config(
+        tmp_path, experiment="simulate", T_list=[1.0, 2.0, 3.0], n_grid=64, replications=10
+    )
+    run_experiment(cfg)
+    assert formatted == [1.0, 2.0, 3.0]
+    assert len([name for name in os.listdir(tmp_path / "out") if name.startswith("path_")]) == 30
 
 
 def test_two_horizon_simulate_writes_the_files_of_one_run_per_horizon(tmp_path):

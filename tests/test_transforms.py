@@ -58,20 +58,33 @@ def test_kernel_domain():
 def test_engine_validation():
     grid = SampleGrid(horizon=1.0, n=4096)
     with pytest.raises(ValueError):
-        PanelEngine(grid, 0.7, stride=7)  # must divide n
+        PanelEngine(grid.n, 0.7, stride=7)  # must divide n
     with pytest.raises(ValueError):
-        PanelEngine(SampleGrid(horizon=1.0, n=32), 0.7, stride=16)  # inner grid too small
+        PanelEngine(32, 0.7, stride=16)  # inner grid too small
     with pytest.raises(ValueError):
-        PanelEngine(grid, 0.3, stride=16)
+        PanelEngine(grid.n, 0.3, stride=16)
     with pytest.raises(ValueError):
-        PanelEngine(grid, 1.0, stride=16)
-    # a float or bool stride is refused by name, as SampleGrid refuses its n
+        PanelEngine(grid.n, 1.0, stride=16)
+    # a float or bool stride or n is refused by name, as SampleGrid refuses its n
     with pytest.raises(ValueError, match="stride must be an integer, got 16.0"):
-        PanelEngine(grid, 0.7, stride=16.0)
+        PanelEngine(grid.n, 0.7, stride=16.0)
     with pytest.raises(ValueError, match="stride must be an integer, got True"):
-        PanelEngine(grid, 0.7, stride=True)
+        PanelEngine(grid.n, 0.7, stride=True)
+    with pytest.raises(ValueError, match="n must be an integer, got 4096.0"):
+        PanelEngine(4096.0, 0.7, stride=16)
     # H = 1/2 is allowed for the transforms even though the model excludes it
-    PanelEngine(grid, 0.5, stride=16)
+    engine = PanelEngine(grid.n, 0.5, stride=16)
+    # a grid with another n is refused by every call that takes one, in both forms
+    other = SampleGrid(horizon=1.0, n=2048)
+    values = np.zeros((1, other.n + 1))
+    for eng in (engine, PanelEngine(2**17, 0.7, stride=16)):
+        message = f"engine is built for n={eng.n}, got a grid with n=2048"
+        with pytest.raises(ValueError, match=message):
+            eng.transform(np.zeros((1, eng.n)), other)
+        with pytest.raises(ValueError, match=message):
+            eng.raw_panels(values, other)
+        with pytest.raises(ValueError, match=message):
+            eng.statistics(values, other, 1.0)
 
 
 def test_linear_path_closed_forms(monkeypatch):
@@ -85,10 +98,10 @@ def test_linear_path_closed_forms(monkeypatch):
     t_lin = grid.times()
     for dense_cells, dense in ((transforms._MAX_DENSE_CELLS, True), (1, False)):
         monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-        eng = PanelEngine(grid, hurst, stride=16)
+        eng = PanelEngine(grid.n, hurst, stride=16)
         assert (eng._weights is not None) == dense
-        Z, F = eng.raw_panels(t_lin[None, :])
-        inner = eng.inner_times[1:]
+        Z, F = eng.raw_panels(t_lin[None, :], grid)
+        inner = t_lin[::16][1:]
 
         err_s = np.abs(Z[0][1:] - kc.w(inner)) / kc.w(inner)
         assert err_s.max() < 2e-3
@@ -100,7 +113,7 @@ def test_linear_path_closed_forms(monkeypatch):
         assert err_f.max() < 2e-3
         assert err_f[-1] < 1e-5
 
-        P = eng.derivative_panel(F, 1.0)[0]
+        P = eng.derivative_panel(F, grid, 1.0)[0]
         slope = kc.lam / kc.kappa * beta_fn(2.0 + a, 1.0 + a) * (2.0 + 2.0 * a) / (1.0 + 2.0 * a)
         err_p = np.abs(P - slope * inner) / (slope * inner)
         # first point has a genuinely wide stencil relative to t; it sharpens fast
@@ -118,7 +131,7 @@ def test_stride_one_first_row_is_exact_beta_value(monkeypatch):
         w_dt = constants(hurst, 1.0).w(grid.dt)
         for dense_cells in (transforms._MAX_DENSE_CELLS, 1):
             monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-            Z, _ = PanelEngine(grid, hurst, stride=1).raw_panels(grid.times())
+            Z, _ = PanelEngine(grid.n, hurst, stride=1).raw_panels(grid.times(), grid)
             assert abs(Z[0, 1] - w_dt) < 1e-12
 
 
@@ -130,11 +143,10 @@ def test_end_cell_fixes_match_mpmath_cell_integrals(monkeypatch, hurst, stride):
     # cell minus the midpoint value.  The FFT form stores these fixes; a dense
     # row holds midpoint value plus fix, so the fix is read back from it.
     a = 0.5 - hurst
-    grid = SampleGrid(horizon=1.0, n=64)
     monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
-    fft = PanelEngine(grid, hurst, stride=stride)
+    fft = PanelEngine(64, hurst, stride=stride)
     monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
-    dense_rows = [row for block in PanelEngine(grid, hurst, stride=stride)._weights for row in block]
+    dense_rows = [row for block in PanelEngine(64, hurst, stride=stride)._weights for row in block]
     m_pow = fft._m_pow
     for j in range(4):
         t = (j + 1) * stride
@@ -160,11 +172,11 @@ def test_transform_refuses_cells_that_are_not_one_row_per_path(monkeypatch):
     cells = np.ones(grid.n)
     for dense_cells in (transforms._MAX_DENSE_CELLS, 1):
         monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-        eng = PanelEngine(grid, 0.7, stride=16)
+        eng = PanelEngine(grid.n, 0.7, stride=16)
         for bad in (cells, cells[None, None, :], cells[None, 1:]):
             with pytest.raises(ValueError, match="shape"):
-                eng.transform(bad)
-        assert eng.transform(cells[None, :]).shape == (1, eng.n_inner)
+                eng.transform(bad, grid)
+        assert eng.transform(cells[None, :], grid).shape == (1, eng.n_inner)
 
 
 def test_quadratic_variation_partition():
@@ -184,10 +196,10 @@ def test_quadratic_variation_partition():
 def test_constant_path_closed_forms():
     # X = c: S = 0, I = 0, J = c w(T)/gamma, K = c^2 w(T)/gamma^2
     grid = SampleGrid(horizon=5.0, n=2**13)
-    eng = PanelEngine(grid, 0.7, stride=16)
+    eng = PanelEngine(grid.n, 0.7, stride=16)
     w_T = constants(0.7, 1.0).w(5.0)
     c = 1.7
-    out = eng.statistics(np.full((1, grid.n + 1), c), 2.0)
+    out = eng.statistics(np.full((1, grid.n + 1), c), grid, 2.0)
     assert out.S[0] == 0.0
     assert out.I[0] == 0.0
     assert out.J[0] == pytest.approx(c * w_T / 2.0, rel=1e-4)
@@ -199,15 +211,15 @@ def test_statistics_refuse_non_finite_outputs():
     # the first of S, I, J, K, qv that is not finite is named where it is
     # made; overflow warnings are silenced so only the ValueError is tested
     grid = SampleGrid(horizon=2.0, n=512)
-    eng = PanelEngine(grid, DESK.hurst, stride=16)
+    eng = PanelEngine(grid.n, DESK.hurst, stride=16)
     values = simulate_exact(DESK, grid, seed=5).values[None, :]
     with pytest.raises(ValueError, match="statistic S is not finite on 1 of 2 paths"):
-        eng.statistics(np.vstack([values, np.full_like(values, np.nan)]), DESK.gamma)
+        eng.statistics(np.vstack([values, np.full_like(values, np.nan)]), grid, DESK.gamma)
     # a path of 1e200 still has finite S and J, but I and K overflow
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="statistic I is not finite on 1 of 1 paths"):
-            eng.statistics(1e200 * values, DESK.gamma)
-    out = eng.statistics(values, DESK.gamma)
+            eng.statistics(1e200 * values, grid, DESK.gamma)
+    out = eng.statistics(values, grid, DESK.gamma)
     assert all(np.all(np.isfinite(getattr(out, key))) for key in ("S", "I", "J", "K", "w", "qv"))
 
 
@@ -215,56 +227,57 @@ def test_statistics_name_an_overflow_without_warning():
     # no errstate here: under error::RuntimeWarning an overflow inside the
     # statistics must still surface as the ValueError naming the statistic
     grid = SampleGrid(horizon=2.0, n=512)
-    eng = PanelEngine(grid, DESK.hurst, stride=16)
+    eng = PanelEngine(grid.n, DESK.hurst, stride=16)
     values = simulate_exact(DESK, grid, seed=5).values[None, :]
     with pytest.raises(ValueError, match="statistic I is not finite on 1 of 1 paths"):
-        eng.statistics(1e200 * values, DESK.gamma)
+        eng.statistics(1e200 * values, grid, DESK.gamma)
 
 
 def test_shared_engine_reuses_a_few_engines():
-    # equal (grid, H) keys share one engine; at most 3 stay cached, and the
+    # equal (n, H) keys share one engine; at most 3 stay cached, and the
     # least recently used one is rebuilt after four other keys
-    first = shared_engine(SampleGrid(horizon=1.0, n=64), 0.7)
-    assert shared_engine(SampleGrid(horizon=1.0, n=64), 0.7) is first
+    first = shared_engine(64, 0.7)
+    assert shared_engine(64, 0.7) is first
     assert first.stride == 16
     for hurst in (0.6, 0.65, 0.75, 0.8):
-        shared_engine(SampleGrid(horizon=1.0, n=64), hurst)
+        shared_engine(64, hurst)
         assert shared_engine.cache_info().currsize <= 3
-    assert shared_engine(SampleGrid(horizon=1.0, n=64), 0.7) is not first
+    assert shared_engine(64, 0.7) is not first
 
 
 def test_dense_weights_skip_the_zeros_past_each_output_time():
     # row j has no weight past cell (j+1)*stride - 1, so the dense form stores
     # about 0.56 m n entries (8 row blocks), not the full m x n matrix
-    grid = SampleGrid(horizon=5.0, n=8192)
-    eng = PanelEngine(grid, 0.7, stride=16)
+    eng = PanelEngine(8192, 0.7, stride=16)
     stored = sum(block.size for block in eng._weights)
-    assert stored <= 0.6 * eng.n_inner * grid.n
+    assert stored <= 0.6 * eng.n_inner * eng.n
 
 
 def test_horizons_on_one_grid_size_share_the_unit_weights(monkeypatch):
-    # k is homogeneous of degree 1 - 2H, so engines at T = 6 and T = 12 on
-    # n = 8192 cells hold the same read-only weights and their transforms
-    # of the same cells differ by the factor (12/6)^(1-2H)
+    # k is homogeneous of degree 1 - 2H, so one engine on n = 8192 cells
+    # serves T = 6 and T = 12 from the same read-only weights, keeps no
+    # state of the last horizon, and its transforms of the same cells
+    # differ by the factor (12/6)^(1-2H)
     hurst = 0.7
     rng = np.random.default_rng(11)
     cells = rng.standard_normal((2, 8192))
+    short, long = SampleGrid(horizon=6.0, n=8192), SampleGrid(horizon=12.0, n=8192)
     for dense_cells, dense in ((transforms._MAX_DENSE_CELLS, True), (1, False)):
         monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-        short = PanelEngine(SampleGrid(horizon=6.0, n=8192), hurst)
-        long = PanelEngine(SampleGrid(horizon=12.0, n=8192), hurst)
+        engine = PanelEngine(8192, hurst)
         if dense:
-            assert len(long._weights) == 8
-            assert all(a is b for a, b in zip(short._weights, long._weights))
-            stored = long._weights
+            assert len(engine._weights) == 8
+            stored = engine._weights
         else:
-            assert long._weights is None and long._m_pow is short._m_pow
-            stored = (long._m_pow, long._last, long._first_fix, long._last_fix)
-            stored += (long._kernel_spectrum,)
+            assert engine._weights is None
+            stored = (engine._m_pow, engine._last, engine._first_fix, engine._last_fix)
+            stored += (engine._kernel_spectrum,)
         for array in stored:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        ratio = long.transform(cells) / short.transform(cells)
+        before = engine.transform(cells, short)
+        ratio = engine.transform(cells, long) / before
+        assert np.array_equal(engine.transform(cells, short), before)
         np.testing.assert_allclose(ratio, 2.0 ** (1.0 - 2.0 * hurst), rtol=1e-14, atol=0.0)
 
 
@@ -272,10 +285,10 @@ def test_brownian_case_is_exact_on_interpolants():
     # At H = 1/2 the kernel is 1 and w(t) = t, so on the piecewise-linear
     # interpolant S must equal the increment sum and F the trapezoid integral.
     grid = SampleGrid(horizon=3.0, n=1024)
-    eng = PanelEngine(grid, 0.5, stride=16)
+    eng = PanelEngine(grid.n, 0.5, stride=16)
     rng = np.random.default_rng(42)
     vals = np.concatenate([[0.0], np.cumsum(rng.standard_normal(1024) * 0.05)])
-    Z, F = eng.raw_panels(vals[None, :])
+    Z, F = eng.raw_panels(vals[None, :], grid)
     np.testing.assert_allclose(Z[0][1:], vals[::16][1:] - vals[0], atol=1e-12)
     trap = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * grid.dt)])
     np.testing.assert_allclose(F[0], trap[::16], atol=1e-12)
@@ -287,8 +300,8 @@ def test_martingale_identity_on_mean_path():
     grid = SampleGrid(horizon=5.0, n=2**13)
     t = grid.times()
     mean_path = DESK.x0 * np.exp(-DESK.beta * t) + DESK.mean_level * (1.0 - np.exp(-DESK.beta * t))
-    eng = PanelEngine(grid, DESK.hurst, stride=16)
-    out = eng.statistics(mean_path[None, :], DESK.gamma)
+    eng = PanelEngine(grid.n, DESK.hurst, stride=16)
+    out = eng.statistics(mean_path[None, :], grid, DESK.gamma)
     m = out.S[0] + DESK.beta * out.J[0] - DESK.alpha / DESK.gamma * out.w
     assert abs(m) < 1e-3
 
@@ -297,12 +310,12 @@ def test_martingale_statistic_is_standard_normal_smoke():
     # Normalized by sqrt(w_T) the drift-corrected S is N(0, 1); checked in
     # force by the acceptance suite, band-checked here on 300 replications.
     grid = SampleGrid(horizon=5.0, n=2**13)
-    eng = PanelEngine(grid, DESK.hurst, stride=16)
+    eng = PanelEngine(grid.n, DESK.hurst, stride=16)
     w_T = constants(DESK.hurst, DESK.gamma).w(5.0)
     z = np.empty(300)
     for r in range(300):
         path = simulate_exact(DESK, grid, seed=778_000_000 + r)
-        stats = eng.statistics(path.values, DESK.gamma)
+        stats = eng.statistics(path.values, grid, DESK.gamma)
         z[r] = martingale_M(stats, DESK)[0] / math.sqrt(w_T)
     assert abs(z.mean()) < 0.25
     assert 0.85 < z.std(ddof=1) < 1.15
@@ -311,8 +324,8 @@ def test_martingale_statistic_is_standard_normal_smoke():
 def test_sufficient_stats_match_engine_dict():
     grid = SampleGrid(horizon=5.0, n=2**12)
     path = simulate_exact(DESK, grid, seed=31)
-    eng = PanelEngine(grid, DESK.hurst, stride=16)
-    stats = eng.statistics(path.values[None, :], DESK.gamma)
+    eng = PanelEngine(grid.n, DESK.hurst, stride=16)
+    stats = eng.statistics(path.values[None, :], grid, DESK.gamma)
     m = martingale_M(stats, DESK)
     assert m == pytest.approx(stats.S + DESK.beta * stats.J - DESK.alpha / DESK.gamma * stats.w, rel=1e-15)
 
@@ -322,7 +335,7 @@ def test_cauchy_schwarz_between_stats():
     grid = SampleGrid(horizon=5.0, n=2**13)
     for r in range(20):
         path = simulate_exact(DESK, grid, seed=90_000 + r)
-        stats = shared_engine(grid, DESK.hurst).statistics(path.values, DESK.gamma)
+        stats = shared_engine(grid.n, DESK.hurst).statistics(path.values, grid, DESK.gamma)
         assert stats.J ** 2 <= stats.w * stats.K
         assert stats.K > 0.0
 
@@ -335,21 +348,21 @@ def test_fft_panels_match_dense_matrix(monkeypatch):
     for n, stride in ((4096, 16), (4096, 1), (2048, 2), (64, 16), (1000, 8)):
         grid = SampleGrid(horizon=5.0, n=n)
         monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
-        dense = PanelEngine(grid, 0.7, stride=stride)
+        dense = PanelEngine(n, 0.7, stride=stride)
         monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
-        fft = PanelEngine(grid, 0.7, stride=stride)
+        fft = PanelEngine(n, 0.7, stride=stride)
         assert dense._weights is not None and fft._weights is None
         rng = np.random.default_rng(3)
         vals = np.cumsum(rng.standard_normal((3, n + 1)), axis=1) * 0.02
         vals[:, 0] = 0.0
-        Zd, Fd = dense.raw_panels(vals)
-        Zf, Ff = fft.raw_panels(vals)
+        Zd, Fd = dense.raw_panels(vals, grid)
+        Zf, Ff = fft.raw_panels(vals, grid)
         scale = np.abs(Zd).max()
         assert np.abs(Zd - Zf).max() < 1e-12 * scale
         assert np.abs(Fd - Ff).max() < 1e-12 * scale
 
 
-def _fft_transform_out_of_place(engine, cells):
+def _fft_transform_out_of_place(engine, cells, grid):
     # the FFT form before it shared one padded buffer: rfft zero-pads a
     # product temporary itself, and irfft keeps its input
     spectrum = sfft.rfft(cells * engine._m_pow, engine._fft_len, axis=1)
@@ -357,20 +370,22 @@ def _fft_transform_out_of_place(engine, cells):
     out = sfft.irfft(spectrum, engine._fft_len, axis=1)[:, engine._last]
     out += engine._first_fix * cells[:, :1]
     out += engine._last_fix * cells[:, engine._last]
-    out *= engine._scale
+    out *= grid.dt ** (1.0 - 2.0 * engine.hurst) / engine.kc.kappa
     return out
 
 
 @pytest.mark.parametrize("n, stride", [(64, 16), (4096, 1), (65536, 16)])
 def test_fft_transform_is_the_out_of_place_form_bitwise(monkeypatch, n, stride):
     monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
-    engine = PanelEngine(SampleGrid(horizon=2.0, n=n), 0.7, stride=stride)
+    grid = SampleGrid(horizon=2.0, n=n)
+    engine = PanelEngine(n, 0.7, stride=stride)
     assert engine._weights is None
     rng = np.random.default_rng(n)
     for rows in (1, 3):
         cells = rng.standard_normal((rows, n))
         kept = cells.copy()
-        assert np.array_equal(engine.transform(cells), _fft_transform_out_of_place(engine, cells))
+        out_of_place = _fft_transform_out_of_place(engine, cells, grid)
+        assert np.array_equal(engine.transform(cells, grid), out_of_place)
         assert np.array_equal(cells, kept)
 
 
@@ -398,11 +413,11 @@ def test_reconstruction_roundtrip():
     # because the unstable drift (beta < 0) grows the state to ~40.
     grid = SampleGrid(horizon=5.0, n=2**14)
     path = simulate_exact(DESK, grid, seed=555)
-    eng = PanelEngine(grid, DESK.hurst, stride=4)
-    Z, _ = eng.raw_panels(path.values)
+    eng = PanelEngine(grid.n, DESK.hurst, stride=4)
+    Z, _ = eng.raw_panels(path.values, grid)
     m = eng.n_inner
     idx = np.array([m // 4, m // 2, 3 * m // 4, m])
-    out_t, out_x = reconstruct_X(eng.inner_times, Z[0] / DESK.gamma, DESK, out_indices=idx)
+    out_t, out_x = reconstruct_X(grid.times()[::4], Z[0] / DESK.gamma, DESK, out_indices=idx)
     actual = path.values[::4][idx]
     np.testing.assert_allclose(out_t, [1.25, 2.5, 3.75, 5.0])
     scale = np.abs(path.values).max()
@@ -415,7 +430,7 @@ def test_block_statistics_own_their_arrays():
     # horizon of a run is done
     grid = SampleGrid(horizon=2.0, n=512)
     values = np.stack([simulate_exact(DESK, grid, seed=700 + r).values for r in range(4)])
-    stats = shared_engine(grid, DESK.hurst).statistics(values, DESK.gamma)
+    stats = shared_engine(grid.n, DESK.hurst).statistics(values, grid, DESK.gamma)
     arrays = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
     arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
     assert sorted(arrays) == ["I", "J", "K", "S", "qv"]
