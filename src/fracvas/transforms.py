@@ -25,7 +25,10 @@ integrals consume path increments and ds integrals cell midpoint values.
 Row j of the weights is zero past its last cell, so the dense form keeps
 only the staircase below the output times: 8 row blocks, each cut at its
 last row's cell (18 MiB instead of a 32 MiB full matrix at n = 8192,
-stride 16).  Large grids use an FFT convolution instead.
+stride 16).  Large grids use an FFT convolution by stride phase instead:
+the cells of each phase r (index r mod stride) meet the output times
+through one tap sequence, so stride convolutions of length 2m (m output
+times) replace one of length 2n.
 
 P is computed by centered differences of F in the w clock on an inner grid
 of every stride-th node (default n/16 points); panels start at the first
@@ -145,8 +148,10 @@ class PanelEngine:
     every horizon on n cells.  One weight definition, two ways to apply it:
     when it is small, dense row blocks that each store only the columns up
     to their last row's cell (the zeros above the staircase are neither
-    stored nor multiplied); else an FFT convolution of the cells with m_pow
-    (spectrum precomputed) plus the two corrections.  At n = 8192 the dense
+    stored nor multiplied); else, as cell i = q*stride + r has the weight
+    m_pow[i] * m_pow[(j-q)*stride - 1 - r] in row j, a convolution over q
+    of each phase r of the m_pow-weighted cells with its own taps (spectra
+    at length 2m precomputed), plus the two corrections.  At n = 8192 the dense
     blocks (18 MiB at stride 16) cost far more to build than to apply, so
     one engine serves a Monte Carlo loop.
     """
@@ -194,12 +199,14 @@ class PanelEngine:
                 weights.append(block)
             self._weights = tuple(weights)
         else:
+            # cell q*stride + r meets output time t_j (j = 1..m, last cell j*stride - 1)
+            # through tap p = j - q of phase r, m_pow[p*stride - 1 - r]: zero at p = 0
             self._weights = None
-            self._fft_len = sfft.next_fast_len(2 * n - 1)
-            weights = [m_pow, last, first_fix, last_fix, sfft.rfft(m_pow, self._fft_len)]
-            self._m_pow, self._last, self._first_fix, self._last_fix, self._kernel_spectrum = (
-                weights
-            )
+            self._fft_len = sfft.next_fast_len(2 * m)
+            taps = np.zeros((stride, m + 1))
+            taps[:, 1:] = m_pow.reshape(m, stride)[:, ::-1].T
+            weights = [m_pow, last, first_fix, last_fix, sfft.rfft(taps, self._fft_len, axis=1)]
+            self._m_pow, self._last, self._first_fix, self._last_fix, self._phase_spectra = weights
         for array in weights:
             array.flags.writeable = False
 
@@ -222,15 +229,16 @@ class PanelEngine:
                 out[:, r0:r1] = cells[:, : block.shape[1]] @ block.T
                 r0 = r1
         else:
-            # the product goes straight into the zero-padded buffer rfft
-            # reads, which is freed before irfft allocates; at n = 65536
-            # each full-size temporary is 1 MiB of fresh pages per path
-            padded = np.zeros((cells.shape[0], self._fft_len))
-            np.multiply(cells, self._m_pow, out=padded[:, : self.n])
-            spectrum = sfft.rfft(padded, axis=1)
-            del padded
-            spectrum *= self._kernel_spectrum
-            out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)[:, self._last]
+            # phase by phase, so no temporary outgrows 2m values per path; a
+            # spectrum of all phases at once faults in fresh pages at n = 65536
+            spectrum = 0.0
+            for r, taps in enumerate(self._phase_spectra):
+                phase = cells[:, r :: self.stride] * self._m_pow[r :: self.stride]
+                phase = sfft.rfft(phase, self._fft_len, axis=1)
+                phase *= taps
+                spectrum += phase
+            out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)
+            out = out[:, 1 : self.n_inner + 1]
             out += self._first_fix * cells[:, :1]
             out += self._last_fix * cells[:, self._last]
         # k is homogeneous of degree 1 - 2H: unit-spacing weights times dt^(1-2H)

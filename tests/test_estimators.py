@@ -18,7 +18,7 @@ from fracvas.estimators import (
 )
 from fracvas.fbm import SampleGrid, generate_fbm
 from fracvas.model import ModelParams, simulate_exact
-from fracvas.transforms import PanelEngine, SufficientStats, constants, shared_engine
+from fracvas.transforms import SufficientStats, constants, shared_engine
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
 
@@ -225,13 +225,13 @@ def test_gamma_recovery_on_model_path():
 
 
 def test_gamma_recovery_reads_z_alone():
-    # estimate_gamma transforms only the increments (Z); it must equal the
-    # quadratic variation read from the full statistics pass, bit for bit.
-    # The partition is n/16 blocks up to 2048, i.e. stride 16 and 32 here.
-    for n, stride in ((2**12, 16), (2**16, 32)):
+    # estimate_gamma transforms only the increments (Z) on the shared engine;
+    # it must equal the quadratic variation read from that engine's full
+    # statistics pass, bit for bit, in the dense and the FFT form.
+    for n in (2**12, 2**16):
         grid = SampleGrid(horizon=2.0, n=n)
         path = simulate_exact(DESK, grid, seed=600_030)
-        engine = PanelEngine(grid.n, DESK.hurst, stride=stride)
+        engine = shared_engine(grid.n, DESK.hurst)
         out = engine.statistics(path.values, grid, 1.0)
         assert estimate_gamma(path, DESK.hurst) == math.sqrt(out.qv[0] / out.w)
         with pytest.raises(ValueError, match="cells"):

@@ -6,7 +6,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import fft as sfft
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
@@ -271,7 +270,7 @@ def test_horizons_on_one_grid_size_share_the_unit_weights(monkeypatch):
         else:
             assert engine._weights is None
             stored = (engine._m_pow, engine._last, engine._first_fix, engine._last_fix)
-            stored += (engine._kernel_spectrum,)
+            stored += (engine._phase_spectra,)
         for array in stored:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -362,31 +361,38 @@ def test_fft_panels_match_dense_matrix(monkeypatch):
         assert np.abs(Fd - Ff).max() < 1e-12 * scale
 
 
-def _fft_transform_out_of_place(engine, cells, grid):
-    # the FFT form before it shared one padded buffer: rfft zero-pads a
-    # product temporary itself, and irfft keeps its input
-    spectrum = sfft.rfft(cells * engine._m_pow, engine._fft_len, axis=1)
-    spectrum *= engine._kernel_spectrum
-    out = sfft.irfft(spectrum, engine._fft_len, axis=1)[:, engine._last]
-    out += engine._first_fix * cells[:, :1]
-    out += engine._last_fix * cells[:, engine._last]
-    out *= grid.dt ** (1.0 - 2.0 * engine.hurst) / engine.kc.kappa
-    return out
+def _explicit_weight_row(engine, j):
+    # row j (output time (j + 1) * stride cells) written out cell by cell:
+    # m_pow[i] * m_pow[last - i] up to its last cell, plus the end-cell fixes
+    last = (j + 1) * engine.stride - 1
+    m_pow = (np.arange(last + 1) + 0.5) ** (0.5 - engine.hurst)
+    row = m_pow * m_pow[::-1]
+    row[0] += engine._first_fix[j]
+    row[last] += engine._last_fix[j]
+    return row
 
 
 @pytest.mark.parametrize("n, stride", [(64, 16), (4096, 1), (65536, 16)])
-def test_fft_transform_is_the_out_of_place_form_bitwise(monkeypatch, n, stride):
+def test_fft_transform_matches_explicit_weight_rows(monkeypatch, n, stride):
+    # The FFT form sums phase convolutions; a direct dot of the cells with
+    # the explicit weight row is an oracle that shares none of that
+    # arithmetic.  The transform leaves its cells as it found them.
     monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
     grid = SampleGrid(horizon=2.0, n=n)
     engine = PanelEngine(n, 0.7, stride=stride)
     assert engine._weights is None
+    m = engine.n_inner
+    scale = grid.dt ** (1.0 - 2.0 * engine.hurst) / engine.kc.kappa
     rng = np.random.default_rng(n)
     for rows in (1, 3):
         cells = rng.standard_normal((rows, n))
         kept = cells.copy()
-        out_of_place = _fft_transform_out_of_place(engine, cells, grid)
-        assert np.array_equal(engine.transform(cells, grid), out_of_place)
+        out = engine.transform(cells, grid)
         assert np.array_equal(cells, kept)
+        for j in (0, 1, m // 2, m - 1):
+            row = _explicit_weight_row(engine, j)
+            expected = cells[:, : row.size] @ row * scale
+            assert np.abs(out[:, j] - expected).max() < 1e-13 * np.abs(out[:, j]).max()
 
 
 def test_refinement_check_passes_on_model_path():
