@@ -489,8 +489,8 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
     mode, config, cells, lo, hi = task
     grids = [SampleGrid(horizon=T, n=config.n_grid) for _, T in cells]
     hursts = list(dict.fromkeys(p.hurst for p, _ in cells))
-    # fetched before the block's paths exist, so a first (dense) engine
-    # build does not hold them in memory
+    # one engine per H for the whole block, fetched before its paths exist:
+    # a first build's scratch never stacks on top of the block's paths
     stats = mode.startswith("stats")
     engines = {h: shared_engine(config.n_grid, h) for h in hursts} if stats else {}
     times = [_float_cells(g.times()) if mode == "paths" else None for g in grids]

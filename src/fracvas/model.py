@@ -96,14 +96,33 @@ def simulate_exact(
             "exp(|beta| t) leaves the double range once |beta*T| exceeds about 709"
         )
     noise, used_seed = _resolve_driver(params, grid, seed, driver)
-    t = grid.times()
+    # the formula in the module docstring, operation for operation, on three
+    # n + 1 buffers: y holds the times, then e^{beta t} B, then the noise
+    # term; g holds G, then the mean-level term; decay ends as the values
+    y = grid.times()
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-beta * t)
+        decay = np.multiply(y, -beta)
+        np.exp(decay, out=decay)
+        np.exp(np.multiply(y, beta, out=y), out=y)
+        y *= noise
         # G_i = int_0^{t_i} e^{beta s} B_s ds by cumulative trapezoid
-        y = np.exp(beta * t) * noise
-        g = np.concatenate([[0.0], np.cumsum(grid.dt * (y[1:] + y[:-1]) / 2.0)])
-        convolution = noise - beta * decay * g
-        values = params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+        g = np.empty_like(y)
+        g[0] = 0.0
+        np.add(y[1:], y[:-1], out=g[1:])
+        g[1:] *= grid.dt
+        g[1:] /= 2.0
+        np.cumsum(g[1:], out=g[1:])
+        # noise - beta e^{-beta t} G, times gamma
+        np.multiply(decay, beta, out=y)
+        y *= g
+        np.subtract(noise, y, out=y)
+        y *= params.gamma
+        np.subtract(1.0, decay, out=g)
+        g *= params.mean_level
+        decay *= params.x0
+        decay += g
+        decay += y
+        values = decay
     if bad := np.count_nonzero(~np.isfinite(values)):
         raise ValueError(
             f"{bad} path nodes not finite: x0 = {params.x0:.6g}, beta*T = {beta * grid.horizon:.6g}"

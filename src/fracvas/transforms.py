@@ -13,22 +13,20 @@ and the horizon statistics
 
 Numerics: integrals against the path are Riemann-Stieltjes product sums on
 the path cells, with one weight definition per (n, H, stride) that
-PanelEngine applies in one of two ways.  k is homogeneous of degree 1 - 2H,
-so an engine is built for (n, H, stride) alone: it holds the weights at
-unit spacing, and each call scales them by the dt^{1-2H} of the grid it is
-given, so one engine serves every horizon on n cells.  Interior cells use
+PanelEngine applies.  k is homogeneous of degree 1 - 2H, so an engine is
+built for (n, H, stride) alone: it holds the weights at unit spacing, and
+each call scales them by the dt^{1-2H} of the grid it is given, so one
+engine serves every horizon on n cells.  Interior cells use
 the kernel midpoint value; the two endpoint cells of every output time,
 where k has the integrable singularities s^{1/2-H} and (t-s)^{1/2-H}, use
 the exact cell integral, an incomplete Beta function.  At H = 1/2 the scheme is
 exact on the path's linear interpolant (kernel identically one).  dX
 integrals consume path increments and ds integrals cell midpoint values.
-Row j of the weights is zero past its last cell, so the dense form keeps
-only the staircase below the output times: 8 row blocks, each cut at its
-last row's cell (18 MiB instead of a 32 MiB full matrix at n = 8192,
-stride 16).  Large grids use an FFT convolution by stride phase instead:
-the cells of each phase r (index r mod stride) meet the output times
-through one tap sequence, so stride convolutions of length 2m (m output
-times) replace one of length 2n.
+The weights are applied as an FFT convolution by stride phase: the cells
+of each phase r (index r mod stride) meet the output times through one
+tap sequence, so stride convolutions of length 2m (m output times)
+replace one of length 2n, and no weight matrix is stored (0.2 MiB of
+tap spectra and end-cell fixes at n = 8192, stride 16).
 
 P is computed by centered differences of F in the w clock on an inner grid
 of every stride-th node (default n/16 points); panels start at the first
@@ -61,8 +59,6 @@ __all__ = [
 ]
 
 _DEFAULT_STRIDE = 16
-_MAX_DENSE_CELLS = 5_000_000
-_DENSE_ROW_BLOCKS = 8
 _QV_MAX_BLOCKS = 2048
 
 
@@ -145,15 +141,12 @@ class PanelEngine:
     k is homogeneous of degree 1 - 2H, so the engine holds read-only weights
     at unit spacing without the 1/kappa, and each call takes the grid of its
     paths and scales by that grid's dt^(1-2H) / kappa: one engine serves
-    every horizon on n cells.  One weight definition, two ways to apply it:
-    when it is small, dense row blocks that each store only the columns up
-    to their last row's cell (the zeros above the staircase are neither
-    stored nor multiplied); else, as cell i = q*stride + r has the weight
-    m_pow[i] * m_pow[(j-q)*stride - 1 - r] in row j, a convolution over q
-    of each phase r of the m_pow-weighted cells with its own taps (spectra
-    at length 2m precomputed), plus the two corrections.  At n = 8192 the dense
-    blocks (18 MiB at stride 16) cost far more to build than to apply, so
-    one engine serves a Monte Carlo loop.
+    every horizon on n cells.  As cell i = q*stride + r has the weight
+    m_pow[i] * m_pow[(j-q)*stride - 1 - r] in row j, the weights are
+    applied as a convolution over q of each phase r of the m_pow-weighted
+    cells with its own taps (spectra at length 2m precomputed), plus the
+    two end-cell corrections.  The engine stores only those spectra and
+    fixes (0.2 MiB at n = 8192, stride 16), never the weight rows.
     """
 
     def __init__(self, n: int, hurst: float, stride: int = _DEFAULT_STRIDE) -> None:
@@ -183,30 +176,13 @@ class PanelEngine:
         first_fix -= m_pow[0] * m_pow[last]
         last_fix = np.where(last > 0, first_fix, 0.0)
 
-        if m * n <= _MAX_DENSE_CELLS:
-            # row j reads m_pow backwards from its last cell, zeros past it;
-            # each row block keeps only the columns up to its last row's cell
-            reversed_pad = np.concatenate([m_pow[::-1], np.zeros(n)])
-            hankel = np.lib.stride_tricks.sliding_window_view(reversed_pad, n)
-            edges = sorted({m * k // _DENSE_ROW_BLOCKS for k in range(_DENSE_ROW_BLOCKS + 1)})
-            weights = []
-            for r0, r1 in zip(edges[:-1], edges[1:]):
-                cols = r1 * stride
-                block = hankel[n - 1 - last[r0:r1], :cols]
-                block *= m_pow[:cols]
-                block[:, 0] += first_fix[r0:r1]
-                block[np.arange(r1 - r0), last[r0:r1]] += last_fix[r0:r1]
-                weights.append(block)
-            self._weights = tuple(weights)
-        else:
-            # cell q*stride + r meets output time t_j (j = 1..m, last cell j*stride - 1)
-            # through tap p = j - q of phase r, m_pow[p*stride - 1 - r]: zero at p = 0
-            self._weights = None
-            self._fft_len = sfft.next_fast_len(2 * m)
-            taps = np.zeros((stride, m + 1))
-            taps[:, 1:] = m_pow.reshape(m, stride)[:, ::-1].T
-            weights = [m_pow, last, first_fix, last_fix, sfft.rfft(taps, self._fft_len, axis=1)]
-            self._m_pow, self._last, self._first_fix, self._last_fix, self._phase_spectra = weights
+        # cell q*stride + r meets output time t_j (j = 1..m, last cell j*stride - 1)
+        # through tap p = j - q of phase r, m_pow[p*stride - 1 - r]: zero at p = 0
+        self._fft_len = sfft.next_fast_len(2 * m)
+        taps = np.zeros((stride, m + 1))
+        taps[:, 1:] = m_pow.reshape(m, stride)[:, ::-1].T
+        weights = [m_pow, last, first_fix, last_fix, sfft.rfft(taps, self._fft_len, axis=1)]
+        self._m_pow, self._last, self._first_fix, self._last_fix, self._phase_spectra = weights
         for array in weights:
             array.flags.writeable = False
 
@@ -221,26 +197,18 @@ class PanelEngine:
             raise ValueError(f"engine is built for n={self.n}, got a grid with n={grid.n}")
         if cells.ndim != 2 or cells.shape[1] != self.n:
             raise ValueError(f"expected cells of shape (paths, {self.n}), got {cells.shape}")
-        if self._weights is not None:
-            out = np.empty((cells.shape[0], self.n_inner))
-            r0 = 0
-            for block in self._weights:
-                r1 = r0 + block.shape[0]
-                out[:, r0:r1] = cells[:, : block.shape[1]] @ block.T
-                r0 = r1
-        else:
-            # phase by phase, so no temporary outgrows 2m values per path; a
-            # spectrum of all phases at once faults in fresh pages at n = 65536
-            spectrum = 0.0
-            for r, taps in enumerate(self._phase_spectra):
-                phase = cells[:, r :: self.stride] * self._m_pow[r :: self.stride]
-                phase = sfft.rfft(phase, self._fft_len, axis=1)
-                phase *= taps
-                spectrum += phase
-            out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)
-            out = out[:, 1 : self.n_inner + 1]
-            out += self._first_fix * cells[:, :1]
-            out += self._last_fix * cells[:, self._last]
+        # phase by phase, so no temporary outgrows 2m values per path; a
+        # spectrum of all phases at once faults in fresh pages at n = 65536
+        spectrum = 0.0
+        for r, taps in enumerate(self._phase_spectra):
+            phase = cells[:, r :: self.stride] * self._m_pow[r :: self.stride]
+            phase = sfft.rfft(phase, self._fft_len, axis=1)
+            phase *= taps
+            spectrum += phase
+        out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)
+        out = out[:, 1 : self.n_inner + 1]
+        out += self._first_fix * cells[:, :1]
+        out += self._last_fix * cells[:, self._last]
         # k is homogeneous of degree 1 - 2H: unit-spacing weights times dt^(1-2H)
         out *= grid.dt ** (1.0 - 2.0 * self.hurst) / self.kc.kappa
         return out

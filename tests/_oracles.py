@@ -196,6 +196,19 @@ def simulate_euler(
     return VasicekPath(grid=grid, params=params, values=values, driver_seed=used_seed)
 
 
+def exact_solution_formula(params: ModelParams, grid: SampleGrid, noise: np.ndarray) -> np.ndarray:
+    """The explicit solution of fracvas.model as one plain expression, one
+    temporary per operation; simulate_exact evaluates it in place."""
+    beta = params.beta
+    t = grid.times()
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-beta * t)
+        y = np.exp(beta * t) * noise
+        g = np.concatenate([[0.0], np.cumsum(grid.dt * (y[1:] + y[:-1]) / 2.0)])
+        convolution = noise - beta * decay * g
+        return params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+
+
 def _check(nu: float, x: float, name: str) -> None:
     if not nu > -1.0:
         raise ValueError(f"Bessel order must be > -1, got {nu!r}")

@@ -227,7 +227,7 @@ def test_gamma_recovery_on_model_path():
 def test_gamma_recovery_reads_z_alone():
     # estimate_gamma transforms only the increments (Z) on the shared engine;
     # it must equal the quadratic variation read from that engine's full
-    # statistics pass, bit for bit, in the dense and the FFT form.
+    # statistics pass, bit for bit, at n = 2^12 and at n = 2^16.
     for n in (2**12, 2**16):
         grid = SampleGrid(horizon=2.0, n=n)
         path = simulate_exact(DESK, grid, seed=600_030)

@@ -1,5 +1,6 @@
 """Every name a module exports resolves, so `from module import *` cannot break;
-importing the package loads only the scipy subpackages it computes with."""
+importing the package loads only the scipy subpackages it computes with, and
+a panel engine stays small in a fresh process."""
 
 import ast
 import os
@@ -64,13 +65,31 @@ def test_building_an_engine_loads_no_scipy_linalg():
         "from fracvas.model import ModelParams, simulate_exact\n"
         "params = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)\n"
         "path = simulate_exact(params, SampleGrid(5.0, 4096), seed=1)\n"
-        "for cells in (transforms._MAX_DENSE_CELLS, 1):\n"
-        "    transforms._MAX_DENSE_CELLS = cells\n"
-        "    transforms.PanelEngine(path.grid.n, 0.7).statistics(path.values, path.grid, 1.0)\n"
+        "transforms.PanelEngine(path.grid.n, 0.7).statistics(path.values, path.grid, 1.0)\n"
         "estimate_gamma(path, 0.7)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     )
     assert _fresh_process_stdout(code) == "[]"
+
+
+def test_engine_build_and_statistics_call_stay_small_in_memory():
+    # building an n = 8192 engine and taking the statistics of 64 paths
+    # raises the peak resident size by under 12 MiB; a stored weight
+    # staircase (18 MiB) raised it by 20 MiB.  A small engine runs first,
+    # so imports and FFT plans are not counted.
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from fracvas.fbm import SampleGrid\n"
+        "from fracvas.transforms import PanelEngine\n"
+        "grid = SampleGrid(5.0, 8192)\n"
+        "values = np.cumsum(np.random.default_rng(1).standard_normal((64, 8193)), axis=1)\n"
+        "PanelEngine(64, 0.6).statistics(values[:1, :65], SampleGrid(5.0, 64), 1.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "PanelEngine(grid.n, 0.7).statistics(values, grid, 1.0)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)"
+    )
+    assert float(_fresh_process_stdout(code)) < 12.0
 
 
 def test_every_scipy_import_in_the_package_is_special_or_fft():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from _oracles import simulate_euler
+from _oracles import exact_solution_formula, simulate_euler
 from fracvas import model
 from fracvas.fbm import FbmPath, SampleGrid, generate_fbm
 from fracvas.model import ModelParams, simulate_exact
@@ -59,6 +59,22 @@ def test_exact_is_the_cumulative_trapezoid_form_bitwise(params, horizon, n):
     path = simulate_exact(params, grid, driver=driver)
     assert np.array_equal(path.values, _exact_out_of_place(params, grid, noise))
     assert np.array_equal(driver.values, noise)
+
+
+@pytest.mark.parametrize("horizon, n", [(12.0, 8192), (2.0, 65536)])
+@pytest.mark.parametrize("beta", [-0.5, 0.8])
+@pytest.mark.parametrize("at_mean_level", [False, True])
+def test_exact_in_place_matches_the_plain_formula_bitwise(horizon, n, beta, at_mean_level):
+    # simulate_exact runs the formula's operations in its own order on three
+    # reused buffers; the plain one-temporary-per-operation expression must
+    # come out bit for bit, started at alpha / beta or away from it
+    x0 = 1.0 / beta if at_mean_level else 0.3
+    params = ModelParams(alpha=1.0, beta=beta, gamma=1.5, hurst=0.7, x0=x0)
+    grid = SampleGrid(horizon=horizon, n=n)
+    for seed in range(3):
+        driver = generate_fbm(params.hurst, grid, seed=seed)
+        expected = exact_solution_formula(params, grid, driver.values)
+        assert np.array_equal(simulate_exact(params, grid, driver=driver).values, expected)
 
 
 def test_exact_is_deterministic_in_seed():

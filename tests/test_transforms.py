@@ -16,7 +16,6 @@ from _oracles import (
     reconstruct_X,
     refinement_check,
 )
-from fracvas import transforms
 from fracvas.fbm import SampleGrid
 from fracvas.model import ModelParams, VasicekPath, simulate_exact
 from fracvas.transforms import PanelEngine, constants, quadratic_variation, shared_engine
@@ -73,7 +72,7 @@ def test_engine_validation():
         PanelEngine(4096.0, 0.7, stride=16)
     # H = 1/2 is allowed for the transforms even though the model excludes it
     engine = PanelEngine(grid.n, 0.5, stride=16)
-    # a grid with another n is refused by every call that takes one, in both forms
+    # a grid with another n is refused by every call that takes one, at any size
     other = SampleGrid(horizon=1.0, n=2048)
     values = np.zeros((1, other.n + 1))
     for eng in (engine, PanelEngine(2**17, 0.7, stride=16)):
@@ -86,66 +85,56 @@ def test_engine_validation():
             eng.statistics(values, other, 1.0)
 
 
-def test_linear_path_closed_forms(monkeypatch):
+def test_linear_path_closed_forms():
     # X_t = t: then S_t = w(t), F_t = B(2+a, 1+a)/kappa * t^(2+2a),
     # P_t = lam/kappa * B(2+a, 1+a) * (2+2a)/(1+2a) * t, with a = 1/2 - H.
-    # Checked on both engine forms; a one-cell dense budget forces the FFT.
     hurst = 0.7
     a = 0.5 - hurst
     grid = SampleGrid(horizon=5.0, n=2**13)
     kc = constants(hurst, 1.0)
     t_lin = grid.times()
-    for dense_cells, dense in ((transforms._MAX_DENSE_CELLS, True), (1, False)):
-        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-        eng = PanelEngine(grid.n, hurst, stride=16)
-        assert (eng._weights is not None) == dense
-        Z, F = eng.raw_panels(t_lin[None, :], grid)
-        inner = t_lin[::16][1:]
+    eng = PanelEngine(grid.n, hurst, stride=16)
+    Z, F = eng.raw_panels(t_lin[None, :], grid)
+    inner = t_lin[::16][1:]
 
-        err_s = np.abs(Z[0][1:] - kc.w(inner)) / kc.w(inner)
-        assert err_s.max() < 2e-3
-        assert np.median(err_s) < 1e-4
-        assert err_s[-1] < 1e-5  # horizon row uses the most cells
+    err_s = np.abs(Z[0][1:] - kc.w(inner)) / kc.w(inner)
+    assert err_s.max() < 2e-3
+    assert np.median(err_s) < 1e-4
+    assert err_s[-1] < 1e-5  # horizon row uses the most cells
 
-        f_exact = beta_fn(2.0 + a, 1.0 + a) / kc.kappa * inner ** (2.0 + 2.0 * a)
-        err_f = np.abs(F[0][1:] - f_exact) / f_exact
-        assert err_f.max() < 2e-3
-        assert err_f[-1] < 1e-5
+    f_exact = beta_fn(2.0 + a, 1.0 + a) / kc.kappa * inner ** (2.0 + 2.0 * a)
+    err_f = np.abs(F[0][1:] - f_exact) / f_exact
+    assert err_f.max() < 2e-3
+    assert err_f[-1] < 1e-5
 
-        P = eng.derivative_panel(F, grid, 1.0)[0]
-        slope = kc.lam / kc.kappa * beta_fn(2.0 + a, 1.0 + a) * (2.0 + 2.0 * a) / (1.0 + 2.0 * a)
-        err_p = np.abs(P - slope * inner) / (slope * inner)
-        # first point has a genuinely wide stencil relative to t; it sharpens fast
-        assert err_p[0] < 0.3
-        assert err_p[8:].max() < 2e-3
-        assert np.median(err_p[1:-1]) < 1e-4
+    P = eng.derivative_panel(F, grid, 1.0)[0]
+    slope = kc.lam / kc.kappa * beta_fn(2.0 + a, 1.0 + a) * (2.0 + 2.0 * a) / (1.0 + 2.0 * a)
+    err_p = np.abs(P - slope * inner) / (slope * inner)
+    # first point has a genuinely wide stencil relative to t; it sharpens fast
+    assert err_p[0] < 0.3
+    assert err_p[8:].max() < 2e-3
+    assert np.median(err_p[1:-1]) < 1e-4
 
 
-def test_stride_one_first_row_is_exact_beta_value(monkeypatch):
+def test_stride_one_first_row_is_exact_beta_value():
     # With stride 1 the first output time covers one cell holding both
     # singular ends; on X_t = t that row is S_dt = w(dt) in closed form,
     # independent of the Beta-function value the engine folds into it.
     grid = SampleGrid(horizon=1.0, n=64)
     for hurst in (0.55, 0.7, 0.95):
         w_dt = constants(hurst, 1.0).w(grid.dt)
-        for dense_cells in (transforms._MAX_DENSE_CELLS, 1):
-            monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-            Z, _ = PanelEngine(grid.n, hurst, stride=1).raw_panels(grid.times(), grid)
-            assert abs(Z[0, 1] - w_dt) < 1e-12
+        Z, _ = PanelEngine(grid.n, hurst, stride=1).raw_panels(grid.times(), grid)
+        assert abs(Z[0, 1] - w_dt) < 1e-12
 
 
 @pytest.mark.parametrize("stride", [1, 2, 4, 16])
 @pytest.mark.parametrize("hurst", [0.51, 0.7, 0.95, 0.99])
-def test_end_cell_fixes_match_mpmath_cell_integrals(monkeypatch, hurst, stride):
+def test_end_cell_fixes_match_mpmath_cell_integrals(hurst, stride):
     # Row j ends at t = (j + 1) * stride cells (unit spacing).  Its first cell
     # [0, 1] and last cell [t-1, t] carry the integral of s^a (t-s)^a over the
-    # cell minus the midpoint value.  The FFT form stores these fixes; a dense
-    # row holds midpoint value plus fix, so the fix is read back from it.
+    # cell minus the midpoint value; the engine stores these fixes.
     a = 0.5 - hurst
-    monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
     fft = PanelEngine(64, hurst, stride=stride)
-    monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
-    dense_rows = [row for block in PanelEngine(64, hurst, stride=stride)._weights for row in block]
     m_pow = fft._m_pow
     for j in range(4):
         t = (j + 1) * stride
@@ -154,28 +143,26 @@ def test_end_cell_fixes_match_mpmath_cell_integrals(monkeypatch, hurst, stride):
             first, last = (
                 float(mpmath.quad(lambda s: s**a * (t - s) ** a, cell)) for cell in ([0, 1], [t - 1, t])
             )
-        pairs = [(fft._first_fix[j], first), (dense_rows[j][0] - mid, first)]
+        pairs = [(fft._first_fix[j], first)]
         if t == 1:
             # one cell holds both singular ends: the first fix is its whole fix
             assert fft._last_fix[j] == 0.0
         else:
-            pairs += [(fft._last_fix[j], last), (dense_rows[j][t - 1] - mid, last)]
+            pairs += [(fft._last_fix[j], last)]
         for fix, integral in pairs:
             assert abs(fix - (integral - mid)) < 1e-14 * integral
 
 
-def test_transform_refuses_cells_that_are_not_one_row_per_path(monkeypatch):
-    # Both forms take a (paths, n) block: a bare 1-D row used to come back
-    # as one panel from the dense form and raise IndexError in the FFT form.
+def test_transform_refuses_cells_that_are_not_one_row_per_path():
+    # The transform takes a (paths, n) block: a bare 1-D row, a 3-D block
+    # or a row one cell short is refused by shape, not misread.
     grid = SampleGrid(horizon=1.0, n=256)
     cells = np.ones(grid.n)
-    for dense_cells in (transforms._MAX_DENSE_CELLS, 1):
-        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-        eng = PanelEngine(grid.n, 0.7, stride=16)
-        for bad in (cells, cells[None, None, :], cells[None, 1:]):
-            with pytest.raises(ValueError, match="shape"):
-                eng.transform(bad, grid)
-        assert eng.transform(cells[None, :], grid).shape == (1, eng.n_inner)
+    eng = PanelEngine(grid.n, 0.7, stride=16)
+    for bad in (cells, cells[None, None, :], cells[None, 1:]):
+        with pytest.raises(ValueError, match="shape"):
+            eng.transform(bad, grid)
+    assert eng.transform(cells[None, :], grid).shape == (1, eng.n_inner)
 
 
 def test_quadratic_variation_partition():
@@ -244,15 +231,19 @@ def test_shared_engine_reuses_a_few_engines():
     assert shared_engine(64, 0.7) is not first
 
 
-def test_dense_weights_skip_the_zeros_past_each_output_time():
-    # row j has no weight past cell (j+1)*stride - 1, so the dense form stores
-    # about 0.56 m n entries (8 row blocks), not the full m x n matrix
+def _stored_arrays(engine):
+    return [value for value in vars(engine).values() if isinstance(value, np.ndarray)]
+
+
+def test_engine_stores_no_weight_matrix():
+    # the engine keeps tap spectra and end-cell fixes, 0.2 MiB at n = 8192
+    # and stride 16; a staircase of weight rows would take 18 MiB
     eng = PanelEngine(8192, 0.7, stride=16)
-    stored = sum(block.size for block in eng._weights)
-    assert stored <= 0.6 * eng.n_inner * eng.n
+    assert len(_stored_arrays(eng)) == 5
+    assert sum(array.nbytes for array in _stored_arrays(eng)) < 0.25 * 2**20
 
 
-def test_horizons_on_one_grid_size_share_the_unit_weights(monkeypatch):
+def test_horizons_on_one_grid_size_share_the_unit_weights():
     # k is homogeneous of degree 1 - 2H, so one engine on n = 8192 cells
     # serves T = 6 and T = 12 from the same read-only weights, keeps no
     # state of the last horizon, and its transforms of the same cells
@@ -261,23 +252,14 @@ def test_horizons_on_one_grid_size_share_the_unit_weights(monkeypatch):
     rng = np.random.default_rng(11)
     cells = rng.standard_normal((2, 8192))
     short, long = SampleGrid(horizon=6.0, n=8192), SampleGrid(horizon=12.0, n=8192)
-    for dense_cells, dense in ((transforms._MAX_DENSE_CELLS, True), (1, False)):
-        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", dense_cells)
-        engine = PanelEngine(8192, hurst)
-        if dense:
-            assert len(engine._weights) == 8
-            stored = engine._weights
-        else:
-            assert engine._weights is None
-            stored = (engine._m_pow, engine._last, engine._first_fix, engine._last_fix)
-            stored += (engine._phase_spectra,)
-        for array in stored:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
-        before = engine.transform(cells, short)
-        ratio = engine.transform(cells, long) / before
-        assert np.array_equal(engine.transform(cells, short), before)
-        np.testing.assert_allclose(ratio, 2.0 ** (1.0 - 2.0 * hurst), rtol=1e-14, atol=0.0)
+    engine = PanelEngine(8192, hurst)
+    for array in _stored_arrays(engine):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    before = engine.transform(cells, short)
+    ratio = engine.transform(cells, long) / before
+    assert np.array_equal(engine.transform(cells, short), before)
+    np.testing.assert_allclose(ratio, 2.0 ** (1.0 - 2.0 * hurst), rtol=1e-14, atol=0.0)
 
 
 def test_brownian_case_is_exact_on_interpolants():
@@ -339,28 +321,6 @@ def test_cauchy_schwarz_between_stats():
         assert stats.K > 0.0
 
 
-def test_fft_panels_match_dense_matrix(monkeypatch):
-    # Same quadrature weights, two evaluation orders: dense matmul vs the
-    # convolution form used for large problems.  Agreement to rounding.
-    # (64, 16) has fewer inner rows than dense row blocks and (1000, 8) has
-    # 125, not a multiple of them, so every block boundary is compared.
-    for n, stride in ((4096, 16), (4096, 1), (2048, 2), (64, 16), (1000, 8)):
-        grid = SampleGrid(horizon=5.0, n=n)
-        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 10**9)
-        dense = PanelEngine(n, 0.7, stride=stride)
-        monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
-        fft = PanelEngine(n, 0.7, stride=stride)
-        assert dense._weights is not None and fft._weights is None
-        rng = np.random.default_rng(3)
-        vals = np.cumsum(rng.standard_normal((3, n + 1)), axis=1) * 0.02
-        vals[:, 0] = 0.0
-        Zd, Fd = dense.raw_panels(vals, grid)
-        Zf, Ff = fft.raw_panels(vals, grid)
-        scale = np.abs(Zd).max()
-        assert np.abs(Zd - Zf).max() < 1e-12 * scale
-        assert np.abs(Fd - Ff).max() < 1e-12 * scale
-
-
 def _explicit_weight_row(engine, j):
     # row j (output time (j + 1) * stride cells) written out cell by cell:
     # m_pow[i] * m_pow[last - i] up to its last cell, plus the end-cell fixes
@@ -372,15 +332,42 @@ def _explicit_weight_row(engine, j):
     return row
 
 
+def test_fft_panels_match_dense_matrix():
+    # Same quadrature weights, two evaluation orders: the full m x n weight
+    # matrix, written out by _explicit_weight_row and applied row by row
+    # (no 128 MiB matrix at (4096, 1)), vs the engine's phase convolutions.
+    # Agreement to rounding on every row, including grids whose
+    # m = n / stride is tiny (64, 16) or not a power of two (1000, 8).
+    for n, stride in ((4096, 16), (4096, 1), (2048, 2), (64, 16), (1000, 8)):
+        grid = SampleGrid(horizon=5.0, n=n)
+        fft = PanelEngine(n, 0.7, stride=stride)
+        rng = np.random.default_rng(3)
+        vals = np.cumsum(rng.standard_normal((3, n + 1)), axis=1) * 0.02
+        vals[:, 0] = 0.0
+        increments = np.diff(vals, axis=1)
+        midpoints = 0.5 * (vals[:, 1:] + vals[:, :-1]) * grid.dt
+        Zd = np.empty((3, fft.n_inner))
+        Fd = np.empty((3, fft.n_inner))
+        for j in range(fft.n_inner):
+            row = _explicit_weight_row(fft, j)
+            Zd[:, j] = increments[:, : row.size] @ row
+            Fd[:, j] = midpoints[:, : row.size] @ row
+        scale = grid.dt ** (1.0 - 2.0 * fft.hurst) / fft.kc.kappa
+        Zd *= scale
+        Fd *= scale
+        Zf, Ff = fft.raw_panels(vals, grid)
+        scale = np.abs(Zd).max()
+        assert np.abs(Zd - Zf[:, 1:]).max() < 1e-12 * scale
+        assert np.abs(Fd - Ff[:, 1:]).max() < 1e-12 * scale
+
+
 @pytest.mark.parametrize("n, stride", [(64, 16), (4096, 1), (65536, 16)])
-def test_fft_transform_matches_explicit_weight_rows(monkeypatch, n, stride):
-    # The FFT form sums phase convolutions; a direct dot of the cells with
+def test_fft_transform_matches_explicit_weight_rows(n, stride):
+    # The engine sums phase convolutions; a direct dot of the cells with
     # the explicit weight row is an oracle that shares none of that
     # arithmetic.  The transform leaves its cells as it found them.
-    monkeypatch.setattr(transforms, "_MAX_DENSE_CELLS", 1)
     grid = SampleGrid(horizon=2.0, n=n)
     engine = PanelEngine(n, 0.7, stride=stride)
-    assert engine._weights is None
     m = engine.n_inner
     scale = grid.dt ** (1.0 - 2.0 * engine.hurst) / engine.kc.kappa
     rng = np.random.default_rng(n)
