@@ -11,15 +11,16 @@ pair: a horizon of T_list, or a setting of hurst-gamma-check.  A
 replication's seed is the same in every cell, so its fBm driver is drawn
 once per distinct H at unit spacing and scaled by dt^H into each cell of
 that H, bitwise the path drawn at that horizon.  The stats modes simulate
-a block's paths one by one, then run one batched quadrature pass over them
-(PanelEngine.statistics) and the drift MLEs once over the resulting
-arrays; recover and paths modes estimate from, or write out, each path as
-it is simulated.  A task returns columns, one 1-D array per quantity over
-its surviving replications, plus (replication, stage, message) failure
+a chunk's paths one by one (see _batch_task), then run one batched
+quadrature pass over them (PanelEngine.statistics) and the drift MLEs
+once over the resulting arrays, bitwise alike for any chunk size; recover
+and paths modes estimate from, or write out, each path as it is
+simulated.  A task returns columns, one 1-D array per quantity over its
+surviving replications, plus (replication, stage, message) failure
 records.  A failed simulation voids its replication.  A failed roughness
 estimate only sets that H_hat to NaN, since H is taken as known.  If the
 batched statistics raise (a non-finite S, I, J, K or qv) or an MLE does,
-every replication of the block fails at stage "stats" or "mle": a
+every replication of the chunk fails at stage "stats" or "mle": a
 degenerate row has probability zero and overflow hits a whole horizon.
 
 Pass/fail semantics: distributional checks against asymptotic laws gate
@@ -35,10 +36,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib.metadata
 import json
 import math
 import numbers
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -77,6 +80,8 @@ from .transforms import _DEFAULT_STRIDE, PanelEngine, constants, shared_engine
 # experiments that estimate H and gamma from every path
 _RECOVERING = ("estimate", "limit-check", "hurst-gamma-check")
 _BATCH = 64
+# path values (512 KiB) per chunk of a stats block: cache-sized, see _batch_task
+_CHUNK_VALUES = 1 << 16
 _KS_MIN_N = 20
 _BOOTSTRAP_RESAMPLES = 200
 
@@ -475,14 +480,14 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
     """Run replications lo..hi-1 in every cell; returns, per cell in cell
     order, the (columns, failures) pairs of its chunks in replication order.
 
-    A chunk is the whole block in the stats modes, which batch the
-    statistics over it, and one replication in recover and paths, so that
-    one large driver is live at a time.  H by H, which keeps the engine
-    estimate_gamma fetches cached, each chunk's drivers are drawn once on
-    the unit grid and scaled by dt^H into each cell of that H: bitwise the
-    paths generate_fbm draws at those horizons (see fracvas.fbm).  The stats
-    modes share one engine per H over its horizons, and paths mode formats
-    each cell's time column once per block.
+    A chunk is max(1, _CHUNK_VALUES // n) replications in the stats modes,
+    which batch the statistics over it (8 at n = 8192), and one in recover
+    and paths, so that one large driver is live at a time.  H by H, which
+    keeps the engine estimate_gamma fetches cached, each chunk's drivers are
+    drawn once on the unit grid and scaled by dt^H into each cell of that H
+    while still in cache: bitwise the paths generate_fbm draws at those
+    horizons (see fracvas.fbm).  The stats modes share one engine per H over
+    its horizons, and paths mode formats each cell's time column once per block.
 
     Must stay a top-level function: worker pools pickle it by name.
     """
@@ -496,7 +501,7 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
     times = [_float_cells(g.times()) if mode == "paths" else None for g in grids]
     unit = SampleGrid(float(config.n_grid), config.n_grid)
     seeds = [replication_seed(config.master_seed, rep) for rep in range(lo, hi)]
-    step = len(seeds) if stats else 1
+    step = max(1, _CHUNK_VALUES // config.n_grid) if stats else 1
     out: list[list] = [[] for _ in cells]
     for hurst in hursts:
         group = [k for k, (p, _) in enumerate(cells) if p.hurst == hurst]
@@ -512,7 +517,7 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
                     errors[i] = exc
             for k in group:
                 args = (cells[k][0], grids[k], engine, times[k], lo + c, chunk, units, errors)
-                out[k].append(_cell_chunk(mode, config, *args, last=k == group[-1]))
+                out[k].append(_cell_chunk(mode, config, *args))
     return out
 
 
@@ -527,19 +532,17 @@ def _cell_chunk(
     seeds: list[int],
     units: np.ndarray,
     errors: dict[int, Exception],
-    last: bool,
 ) -> tuple[dict[str, np.ndarray], list[tuple[int, str, str]]]:
     """One cell of a chunk: (columns, failures) over replications lo, lo + 1, ...
 
     Row i of `units` is replication lo + i's unit driver, unless its draw
     raised errors[i].  In paths mode every path file on `grid` writes the
-    formatted time column `time_cells`.  The `last` cell of an H stores its
-    surviving paths over their drivers: row len(reps) - 1 <= i, and row i
-    is read already.
+    formatted time column `time_cells`.  With an engine, a non-finite
+    statistic or a failed MLE fails every replication of the chunk.
     """
     scale = grid.dt**params.hurst
     # surviving paths fill the chunk's rows in order, so no per-path list is copied
-    values = None if engine is None else (units if last else np.empty_like(units))
+    values = None if engine is None else np.empty_like(units)
     reps, kept_seeds, h_hats, g_hats = [], [], [], []
     failures: list[tuple[int, str, str]] = []
     for i, (rep, seed) in enumerate(zip(range(lo, lo + len(seeds)), seeds)):
@@ -594,7 +597,7 @@ def _cell_chunk(
             columns["alpha_tilde"] = mle_alpha(stats, g, beta_known=params.beta)
             columns["beta_tilde"] = mle_beta(stats, g, alpha_known=params.alpha)
             columns["mu_hat"], columns["kappa_hat"] = mle_mu_kappa(stats, g)
-    except Exception as exc:  # noqa: BLE001 - a block's statistics and estimates fail together
+    except Exception as exc:  # noqa: BLE001 - a chunk's statistics and estimates fail together
         failures.extend(_failure(rep, stage, exc) for rep in reps)
         columns = {key: col[:0] for key, col in columns.items()}
     return columns, failures
@@ -679,6 +682,18 @@ def _write_checks_csv(config: ExperimentConfig, report: TestReport) -> None:
     _write_csv(os.path.join(config.output_dir, "checks.csv"), columns)
 
 
+def _provenance() -> dict[str, str | None]:
+    """Python's version and the installed fracvas, numpy and scipy versions,
+    None for one that is not installed (fracvas run from a source tree)."""
+    versions = {"python": platform.python_version()}
+    for name in ("fracvas", "numpy", "scipy"):
+        try:
+            versions[name] = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:
+            versions[name] = None
+    return versions
+
+
 def run_experiment(config: ExperimentConfig) -> TestReport:
     """Execute one configured experiment; artifacts land in config.output_dir."""
     os.makedirs(config.output_dir, exist_ok=True)
@@ -688,7 +703,7 @@ def run_experiment(config: ExperimentConfig) -> TestReport:
         rows=[],
         failures=0,
         replications=config.replications,
-        details={"failed": []},
+        details={"failed": [], "provenance": _provenance()},
     )
     EXPERIMENTS[config.experiment](config, report)
     payload = dataclasses.asdict(report)

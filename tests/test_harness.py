@@ -2,12 +2,15 @@
 
 import dataclasses
 import filecmp
+import importlib.metadata
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from scipy.stats import kstest, norm, spearmanr
 
 from _oracles import vector_limit
@@ -622,6 +625,120 @@ def test_stats_block_keeps_the_surviving_paths_in_order(tmp_path, monkeypatch):
     stats = shared_engine(grid.n, cfg.params.hurst).statistics(values, grid, cfg.params.gamma)
     for name in ("S", "I", "J", "K"):
         assert columns[name].tobytes() == getattr(stats, name).tobytes()
+
+
+def _report_payload(out) -> dict:
+    """report.json of a run, without the config fields that name where and how it ran."""
+    payload = json.loads((out / "report.json").read_text())
+    del payload["config"]["output_dir"], payload["config"]["workers"]
+    return payload
+
+
+def test_stats_chunks_leave_every_artifact_unchanged(tmp_path, monkeypatch):
+    # at n = 4096 a block of 64 runs as four chunks of 16 and the last 36
+    # replications as 16, 16 and 4; every file equals that of one run where
+    # the chunk is the whole block, at any worker count
+    base = {
+        "experiment": "limit-check",
+        "T_list": [2.0, 3.0],
+        "n_grid": 4096,
+        "replications": 100,
+        "master_seed": 99,
+    }
+    for k in (1, 2):
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / f"w{k}"), workers=k, **base))
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", harness._BATCH * 4096)
+    run_experiment(_config(tmp_path, output_dir=str(tmp_path / "block"), **base))
+    names = sorted(os.listdir(tmp_path / "block"))
+    assert len([name for name in names if name.endswith(".csv")]) == 4
+    for k in (1, 2):
+        assert sorted(os.listdir(tmp_path / f"w{k}")) == names
+        for name in names:
+            if name != "report.json":
+                block, chunked = tmp_path / "block" / name, tmp_path / f"w{k}" / name
+                assert filecmp.cmp(block, chunked, shallow=False)
+        assert _report_payload(tmp_path / f"w{k}") == _report_payload(tmp_path / "block")
+
+
+@pytest.mark.parametrize(
+    "mode, n_grid, replications, rows",
+    [
+        ("stats", 8192, 16, [8, 8]),
+        ("stats+est", 8192, 12, [8, 4]),
+        ("stats", 65536, 2, [1, 1]),
+        ("stats", 512, 64, [64]),
+        ("recover", 4096, 3, [1, 1, 1]),
+        ("paths", 512, 3, [1, 1, 1]),
+    ],
+)
+def test_stats_chunks_hold_about_half_a_mebibyte_of_paths(
+    tmp_path, monkeypatch, mode, n_grid, replications, rows
+):
+    # the stats modes take max(1, 2**16 // n) replications per chunk; recover
+    # and paths take one, so one large driver is live at a time
+    real = harness._cell_chunk
+    seen = []
+
+    def recording(mode, config, params, grid, engine, time_cells, lo, seeds, units, errors):
+        seen.append(units.shape[0])
+        return real(mode, config, params, grid, engine, time_cells, lo, seeds, units, errors)
+
+    monkeypatch.setattr(harness, "_cell_chunk", recording)
+    modes = {"stats": "exact-check", "stats+est": "estimate", "recover": "hurst-gamma-check"}
+    experiment = modes.get(mode, "simulate")
+    cfg = _config(tmp_path, experiment=experiment, n_grid=n_grid, replications=replications)
+    os.makedirs(cfg.output_dir)
+    harness._batch_task((mode, cfg, [(cfg.params, 2.0)], 0, replications))
+    assert seen == rows
+
+
+def test_non_finite_statistics_fail_only_their_chunk(tmp_path, monkeypatch):
+    # at n = 4096 a block of 64 runs in chunks of 16: a NaN on replication
+    # 21's path fails replications 16..31 at stage "stats", and the other 48
+    # rows are those of a clean run, bit for bit
+    cfg = _config(tmp_path, n_grid=4096, replications=64)
+    task = ("stats", cfg, [(cfg.params, 2.0)], 0, 64)
+    clean = harness._batch_task(task)[0]
+    real = harness.simulate_exact
+
+    def poisoned(params, grid, seed, driver=None):
+        path = real(params, grid, seed=seed, driver=driver)
+        if seed == replication_seed(7, 21):
+            path.values[-1] = math.nan
+        return path
+
+    monkeypatch.setattr(harness, "simulate_exact", poisoned)
+    chunks = harness._batch_task(task)[0]
+    assert len(chunks) == len(clean) == 4
+    message = "ValueError: statistic S is not finite on 1 of 16 paths"
+    assert chunks[1][1] == [(rep, "stats", message) for rep in range(16, 32)]
+    assert all(col.size == 0 for col in chunks[1][0].values())
+    for k in (0, 2, 3):
+        (columns, failures), (expected, _) = chunks[k], clean[k]
+        assert failures == [] and columns.keys() == expected.keys()
+        for key, col in columns.items():
+            assert col.tobytes() == expected[key].tobytes()
+
+
+def test_report_names_the_versions_that_produced_it(tmp_path):
+    # details.provenance: Python's version and the installed fracvas, numpy
+    # and scipy versions, the same at every worker count
+    base = {"replications": 100, "n_grid": 512}
+    found = []
+    for k in (1, 2):
+        run_experiment(_config(tmp_path, output_dir=str(tmp_path / f"w{k}"), workers=k, **base))
+        found.append(_report_payload(tmp_path / f"w{k}")["details"]["provenance"])
+    try:
+        installed = importlib.metadata.version("fracvas")
+    except importlib.metadata.PackageNotFoundError:
+        installed = None  # run from the source tree: null in report.json
+    expected = {
+        "fracvas": installed,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    assert found == [expected, expected]
 
 
 def test_mgf_check_refuses_ergodic_beta(tmp_path):
