@@ -122,6 +122,14 @@ def estimate_gamma(path, hurst: float) -> float:
     return math.sqrt(variation / float(engine.kc.w(grid.horizon)))
 
 
+def _second_difference(v: np.ndarray) -> np.ndarray:
+    """v[2:] - 2 v[1:-1] + v[:-2], formed in one buffer."""
+    d = np.multiply(v[1:-1], 2.0)
+    np.subtract(v[2:], d, out=d)
+    d += v[:-2]
+    return d
+
+
 def estimate_hurst(path) -> float:
     """Recover the roughness index from dyadic second-difference variations.
 
@@ -134,9 +142,8 @@ def estimate_hurst(path) -> float:
         raise ValueError(f"roughness recovery needs n >= {_MIN_RECOVERY_N}, got {grid.n}")
     if grid.n % 2:
         raise ValueError("roughness recovery needs an even n")
-    d_fine = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    coarse = values[::2]
-    d_coarse = coarse[2:] - 2.0 * coarse[1:-1] + coarse[:-2]
+    d_fine = _second_difference(values)
+    d_coarse = _second_difference(values[::2])
     v_fine = float(d_fine @ d_fine)
     v_coarse = float(d_coarse @ d_coarse)
     if not (v_fine > 0.0 and v_coarse > 0.0):

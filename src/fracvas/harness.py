@@ -42,6 +42,7 @@ import math
 import numbers
 import os
 import platform
+import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -682,15 +683,36 @@ def _write_checks_csv(config: ExperimentConfig, report: TestReport) -> None:
     _write_csv(os.path.join(config.output_dir, "checks.csv"), columns)
 
 
+def _git_commit() -> str | None:
+    """HEAD of the git work tree whose src/fracvas is this package, else None
+    (no git, not a work tree, or a copy of the tree inside another one)."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    try:
+        proc = subprocess.run(
+            ["git", "-C", package, "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True, timeout=10.0,
+        )
+        if proc.returncode != 0:
+            return None
+        toplevel, commit = proc.stdout.splitlines()
+        if os.path.samefile(os.path.join(toplevel, "src", "fracvas"), package):
+            return commit
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return None
+
+
 def _provenance() -> dict[str, str | None]:
-    """Python's version and the installed fracvas, numpy and scipy versions,
-    None for one that is not installed (fracvas run from a source tree)."""
+    """Python's version, the installed fracvas, numpy and scipy versions,
+    None for one that is not installed (fracvas run from a source tree), and
+    the git commit of the source tree, None outside a git checkout."""
     versions = {"python": platform.python_version()}
     for name in ("fracvas", "numpy", "scipy"):
         try:
             versions[name] = importlib.metadata.version(name)
         except importlib.metadata.PackageNotFoundError:
             versions[name] = None
+    versions["commit"] = _git_commit()
     return versions
 
 

@@ -197,12 +197,16 @@ class PanelEngine:
             raise ValueError(f"engine is built for n={self.n}, got a grid with n={grid.n}")
         if cells.ndim != 2 or cells.shape[1] != self.n:
             raise ValueError(f"expected cells of shape (paths, {self.n}), got {cells.shape}")
-        # phase by phase, so no temporary outgrows 2m values per path; a
-        # spectrum of all phases at once faults in fresh pages at n = 65536
+        # phase by phase, so no temporary outgrows the fft_len (about 2m)
+        # values per path of one zero-padded buffer, whose first m columns
+        # each phase's m_pow-weighted cells overwrite; a spectrum of all
+        # phases at once faults in fresh pages at n = 65536
+        padded = np.zeros((cells.shape[0], self._fft_len))
+        head = padded[:, : self.n_inner]
         spectrum = 0.0
         for r, taps in enumerate(self._phase_spectra):
-            phase = cells[:, r :: self.stride] * self._m_pow[r :: self.stride]
-            phase = sfft.rfft(phase, self._fft_len, axis=1)
+            np.multiply(cells[:, r :: self.stride], self._m_pow[r :: self.stride], out=head)
+            phase = sfft.rfft(padded, axis=1)
             phase *= taps
             spectrum += phase
         out = sfft.irfft(spectrum, self._fft_len, axis=1, overwrite_x=True)

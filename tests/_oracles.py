@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.optimize import bisect
 from scipy.special import iv, ive, roots_jacobi
 
@@ -207,6 +208,21 @@ def exact_solution_formula(params: ModelParams, grid: SampleGrid, noise: np.ndar
         g = np.concatenate([[0.0], np.cumsum(grid.dt * (y[1:] + y[:-1]) / 2.0)])
         convolution = noise - beta * decay * g
         return params.x0 * decay + params.mean_level * (1.0 - decay) + params.gamma * convolution
+
+
+def phase_transform(engine: PanelEngine, cells: np.ndarray, grid: SampleGrid) -> np.ndarray:
+    """PanelEngine.transform as plain per-phase arithmetic: each phase's
+    strided cells times its m_pow slice, zero-padded by the rfft's own n,
+    times its tap spectrum, summed, one irfft, the end-cell fixes and the
+    dt^(1-2H)/kappa scale; the engine reuses one padded buffer instead."""
+    spectrum = 0.0
+    for r, taps in enumerate(engine._phase_spectra):
+        phase = cells[:, r :: engine.stride] * engine._m_pow[r :: engine.stride]
+        spectrum = spectrum + sfft.rfft(phase, engine._fft_len, axis=1) * taps
+    out = sfft.irfft(spectrum, engine._fft_len, axis=1)[:, 1 : engine.n_inner + 1]
+    out = out + engine._first_fix * cells[:, :1]
+    out = out + engine._last_fix * cells[:, engine._last]
+    return out * (grid.dt ** (1.0 - 2.0 * engine.hurst) / engine.kc.kappa)
 
 
 def _check(nu: float, x: float, name: str) -> None:

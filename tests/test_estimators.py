@@ -9,6 +9,7 @@ import pytest
 from _oracles import loglik
 from fracvas.estimators import (
     DegenerateStatsError,
+    _second_difference,
     estimate_gamma,
     estimate_hurst,
     mle_alpha,
@@ -266,6 +267,21 @@ def test_hurst_recovery_ignores_smooth_drift():
     curve = DESK.x0 * np.exp(-DESK.beta * t) + DESK.mean_level * (1.0 - np.exp(-DESK.beta * t))
     shifted = SimpleNamespace(grid=grid, values=driver.values + curve)
     assert abs(estimate_hurst(shifted) - estimate_hurst(driver)) < 0.01
+
+
+def test_hurst_recovery_is_the_three_temporary_expression_bitwise():
+    # estimate_hurst forms each second difference in one buffer; the plain
+    # expression, one temporary per operation, must give the same H bit for bit
+    for n, seed in ((2**13, 600_040), (2**16, 600_041)):
+        path = simulate_exact(DESK, SampleGrid(horizon=5.0, n=n), seed=seed)
+        v = path.values
+        d_fine = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        c = v[::2]
+        d_coarse = c[2:] - 2.0 * c[1:-1] + c[:-2]
+        assert np.array_equal(_second_difference(v), d_fine)
+        assert np.array_equal(_second_difference(c), d_coarse)
+        expected = 0.5 - 0.5 * math.log2(float(d_fine @ d_fine) / float(d_coarse @ d_coarse))
+        assert estimate_hurst(path) == expected
 
 
 def test_hurst_recovery_input_validation():

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -720,9 +721,23 @@ def test_non_finite_statistics_fail_only_their_chunk(tmp_path, monkeypatch):
             assert col.tobytes() == expected[key].tobytes()
 
 
+def _checkout_head():
+    """HEAD of the git checkout that holds the imported fracvas under src/,
+    or None when the package does not sit in one."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__))))
+    if not os.path.exists(os.path.join(root, ".git")):
+        return None
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    except OSError:
+        return None
+    return head.stdout.strip() if head.returncode == 0 else None
+
+
 def test_report_names_the_versions_that_produced_it(tmp_path):
-    # details.provenance: Python's version and the installed fracvas, numpy
-    # and scipy versions, the same at every worker count
+    # details.provenance: Python's version, the installed fracvas, numpy
+    # and scipy versions and the checkout's commit, the same at every
+    # worker count
     base = {"replications": 100, "n_grid": 512}
     found = []
     for k in (1, 2):
@@ -737,8 +752,18 @@ def test_report_names_the_versions_that_produced_it(tmp_path):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "commit": _checkout_head(),
     }
     assert found == [expected, expected]
+
+
+def test_provenance_names_no_commit_for_a_package_outside_its_checkout(tmp_path, monkeypatch):
+    # a package file in a directory that is not a work tree, or in a work
+    # tree whose src/fracvas is another directory, has no commit of its own
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    for place in (tmp_path, tests_dir):
+        monkeypatch.setattr(harness, "__file__", os.path.join(place, "harness.py"))
+        assert harness._git_commit() is None
 
 
 def test_mgf_check_refuses_ergodic_beta(tmp_path):

@@ -7,6 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from _oracles import exact_solution_formula, simulate_euler
 from fracvas import model
 from fracvas.fbm import FbmPath, SampleGrid, generate_fbm
+from fracvas.harness import ExperimentConfig, run_experiment
 from fracvas.model import ModelParams, simulate_exact
 
 DESK = ModelParams(alpha=1.0, beta=-0.5, gamma=1.0, hurst=0.7, x0=0.3)
@@ -65,9 +66,10 @@ def test_exact_is_the_cumulative_trapezoid_form_bitwise(params, horizon, n):
 @pytest.mark.parametrize("beta", [-0.5, 0.8])
 @pytest.mark.parametrize("at_mean_level", [False, True])
 def test_exact_in_place_matches_the_plain_formula_bitwise(horizon, n, beta, at_mean_level):
-    # simulate_exact runs the formula's operations in its own order on three
-    # reused buffers; the plain one-temporary-per-operation expression must
-    # come out bit for bit, started at alpha / beta or away from it
+    # simulate_exact runs the formula's operations in its own order on two
+    # buffers and the cached path-free terms; the plain one-temporary-per-
+    # operation expression must come out bit for bit, started at alpha / beta
+    # or away from it
     x0 = 1.0 / beta if at_mean_level else 0.3
     params = ModelParams(alpha=1.0, beta=beta, gamma=1.5, hurst=0.7, x0=x0)
     grid = SampleGrid(horizon=horizon, n=n)
@@ -75,6 +77,53 @@ def test_exact_in_place_matches_the_plain_formula_bitwise(horizon, n, beta, at_m
         driver = generate_fbm(params.hurst, grid, seed=seed)
         expected = exact_solution_formula(params, grid, driver.values)
         assert np.array_equal(simulate_exact(params, grid, driver=driver).values, expected)
+
+
+def test_path_free_terms_are_keyed_by_alpha_x0_and_grid():
+    # calls alternate between keys sharing beta and the grid but differing in
+    # alpha, then in x0, on two horizons; a cache keyed without alpha or x0
+    # would hand a call the previous key's mean level
+    keys = [(1.0, 0.3), (-0.4, 0.3), (1.0, 0.3), (1.0, -2.0), (-0.4, -2.0), (1.0, 0.3)]
+    for horizon in (6.0, 9.0):
+        grid = SampleGrid(horizon=horizon, n=1024)
+        driver = generate_fbm(0.7, grid, seed=3)
+        for alpha, x0 in keys:
+            params = ModelParams(alpha=alpha, beta=-0.5, gamma=1.5, hurst=0.7, x0=x0)
+            expected = exact_solution_formula(params, grid, driver.values)
+            assert np.array_equal(simulate_exact(params, grid, driver=driver).values, expected)
+
+
+def test_path_free_terms_are_read_only_and_paths_own_their_values():
+    grid = SampleGrid(horizon=5.0, n=256)
+    driver = generate_fbm(DESK.hurst, grid, seed=1)
+    first = simulate_exact(DESK, grid, driver=driver).values
+    expected = first.copy()
+    first[:] = 7.0  # the values are the path's own buffer, not a cached array
+    assert np.array_equal(simulate_exact(DESK, grid, driver=driver).values, expected)
+    for array in model._path_free_terms(DESK.alpha, DESK.beta, DESK.x0, grid):
+        assert array.shape == (grid.n + 1,)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_limit_check_computes_the_path_free_terms_once_per_horizon(tmp_path):
+    # 64 replications at n = 4096 run as four chunks of 16, each walking
+    # T = 2 then T = 3: 128 paths, two entries
+    config = ExperimentConfig.from_dict(
+        {
+            "experiment": "limit-check",
+            "params": {"alpha": 1.0, "beta": -0.5, "gamma": 1.0, "hurst": 0.7, "x0": 0.3},
+            "T_list": [2.0, 3.0],
+            "n_grid": 4096,
+            "replications": 64,
+            "master_seed": 7,
+            "output_dir": str(tmp_path),
+        }
+    )
+    model._path_free_terms.cache_clear()
+    run_experiment(config)
+    info = model._path_free_terms.cache_info()
+    assert (info.misses, info.hits) == (2, 126)
 
 
 def test_exact_is_deterministic_in_seed():

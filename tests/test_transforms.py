@@ -13,6 +13,7 @@ from _oracles import (
     QuadratureConvergenceError,
     kernel_k,
     martingale_M,
+    phase_transform,
     reconstruct_X,
     refinement_check,
 )
@@ -380,6 +381,16 @@ def test_fft_transform_matches_explicit_weight_rows(n, stride):
             row = _explicit_weight_row(engine, j)
             expected = cells[:, : row.size] @ row * scale
             assert np.abs(out[:, j] - expected).max() < 1e-13 * np.abs(out[:, j]).max()
+
+
+@pytest.mark.parametrize("n, stride, rows", [(8192, 16, 8), (65536, 16, 1), (64, 1, 3)])
+def test_transform_is_the_per_phase_arithmetic_bitwise(n, stride, rows):
+    # one reused zero-padded buffer per call must give the plain per-phase
+    # products, padded FFTs and sums bit for bit
+    grid = SampleGrid(horizon=3.0, n=n)
+    engine = PanelEngine(n, 0.7, stride=stride)
+    cells = np.random.default_rng(n + rows).standard_normal((rows, n))
+    assert np.array_equal(engine.transform(cells, grid), phase_transform(engine, cells, grid))
 
 
 def test_refinement_check_passes_on_model_path():
