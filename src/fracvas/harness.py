@@ -6,21 +6,21 @@ replication and the aggregate output is byte-identical for every worker
 count.  Work is dealt in fixed blocks of 64 replications; a worker owns
 whole blocks and results are reassembled in block order.
 
-A block task covers every cell its experiment collects, a (params, T)
-pair: a horizon of T_list, or a setting of hurst-gamma-check.  A
+A block task covers every cell its experiment collects, a (mode, params,
+T) triple: a horizon of T_list, or a setting of hurst-gamma-check.  A
 replication's seed is the same in every cell, so its fBm driver is drawn
 once per distinct H at unit spacing and scaled by dt^H into each cell of
 that H, bitwise the path drawn at that horizon.  The stats modes simulate
 a chunk's paths one by one (see _batch_task), then run one batched
 quadrature pass over them (PanelEngine.statistics) and the drift MLEs
-once over the resulting arrays, bitwise alike for any chunk size; recover
-and paths modes estimate from, or write out, each path as it is
-simulated.  A task returns columns, one 1-D array per quantity over its
-surviving replications, plus (replication, stage, message) failure
-records.  A failed simulation voids its replication.  A failed roughness
-estimate only sets that H_hat to NaN, since H is taken as known.  If the
-batched statistics raise (a non-finite S, I, J, K or qv) or an MLE does,
-every replication of the chunk fails at stage "stats" or "mle": a
+once over the resulting arrays, bitwise alike for any chunk size; the
+hurst and gamma modes estimate only H or only gamma from each path, and
+paths mode writes it out.  A task returns columns, one 1-D array per
+quantity over its surviving replications, plus (replication, stage,
+message) failure records.  A failed simulation or hurst/gamma-mode
+estimate voids its replication; a failed H_hat in stats+est is NaN, as
+H is taken as known.  A non-finite S, I, J, K or qv, or a failed MLE,
+fails every replication of the chunk at stage "stats" or "mle": a
 degenerate row has probability zero and overflow hits a whole horizon.
 
 Pass/fail semantics: distributional checks against asymptotic laws gate
@@ -81,7 +81,7 @@ from .transforms import _DEFAULT_STRIDE, PanelEngine, constants, shared_engine
 # experiments that estimate H and gamma from every path
 _RECOVERING = ("estimate", "limit-check", "hurst-gamma-check")
 _BATCH = 64
-# path values (512 KiB) per chunk of a stats block: cache-sized, see _batch_task
+# path values (512 KiB) per chunk of a block: cache-sized, see _batch_task
 _CHUNK_VALUES = 1 << 16
 _KS_MIN_N = 20
 _BOOTSTRAP_RESAMPLES = 200
@@ -481,32 +481,30 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
     """Run replications lo..hi-1 in every cell; returns, per cell in cell
     order, the (columns, failures) pairs of its chunks in replication order.
 
-    A chunk is max(1, _CHUNK_VALUES // n) replications in the stats modes,
-    which batch the statistics over it (8 at n = 8192), and one in recover
-    and paths, so that one large driver is live at a time.  H by H, which
-    keeps the engine estimate_gamma fetches cached, each chunk's drivers are
-    drawn once on the unit grid and scaled by dt^H into each cell of that H
-    while still in cache: bitwise the paths generate_fbm draws at those
-    horizons (see fracvas.fbm).  The stats modes share one engine per H over
-    its horizons, and paths mode formats each cell's time column once per block.
+    Every mode walks the block in chunks of max(1, _CHUNK_VALUES // n)
+    replications: 8 at n = 8192, one at 65536.  H by H, which keeps the
+    engine estimate_gamma fetches cached, each chunk's drivers are drawn
+    once on the unit grid and scaled by dt^H into each cell of that H while
+    still in cache: bitwise the paths generate_fbm draws at those horizons
+    (see fracvas.fbm).  The stats cells of one H batch their statistics on
+    one engine, and a paths cell formats its time column once per block.
 
     Must stay a top-level function: worker pools pickle it by name.
     """
-    mode, config, cells, lo, hi = task
-    grids = [SampleGrid(horizon=T, n=config.n_grid) for _, T in cells]
-    hursts = list(dict.fromkeys(p.hurst for p, _ in cells))
-    # one engine per H for the whole block, fetched before its paths exist:
-    # a first build's scratch never stacks on top of the block's paths
-    stats = mode.startswith("stats")
-    engines = {h: shared_engine(config.n_grid, h) for h in hursts} if stats else {}
-    times = [_float_cells(g.times()) if mode == "paths" else None for g in grids]
+    config, cells, lo, hi = task
+    grids = [SampleGrid(horizon=T, n=config.n_grid) for _, _, T in cells]
+    hursts = list(dict.fromkeys(p.hurst for _, p, _ in cells))
+    # one engine per H of a stats cell for the whole block, fetched before
+    # its paths exist: a first build's scratch never stacks on the paths
+    stats_hursts = {p.hurst for mode, p, _ in cells if mode.startswith("stats")}
+    engines = {h: shared_engine(config.n_grid, h) for h in hursts if h in stats_hursts}
+    times = [_float_cells(g.times()) if m == "paths" else None for (m, *_), g in zip(cells, grids)]
     unit = SampleGrid(float(config.n_grid), config.n_grid)
     seeds = [replication_seed(config.master_seed, rep) for rep in range(lo, hi)]
-    step = max(1, _CHUNK_VALUES // config.n_grid) if stats else 1
+    step = max(1, _CHUNK_VALUES // config.n_grid)
     out: list[list] = [[] for _ in cells]
     for hurst in hursts:
-        group = [k for k, (p, _) in enumerate(cells) if p.hurst == hurst]
-        engine = engines.get(hurst)
+        group = [k for k, (_, p, _) in enumerate(cells) if p.hurst == hurst]
         for c in range(0, len(seeds), step):
             chunk = seeds[c : c + step]
             units, errors = np.empty((len(chunk), unit.n + 1)), {}
@@ -517,7 +515,9 @@ def _batch_task(task: tuple) -> list[list[tuple[dict[str, np.ndarray], list]]]:
                 except Exception as exc:  # noqa: BLE001 - fails the replication in each cell of H
                     errors[i] = exc
             for k in group:
-                args = (cells[k][0], grids[k], engine, times[k], lo + c, chunk, units, errors)
+                mode, params, _ = cells[k]
+                engine = engines[hurst] if mode.startswith("stats") else None
+                args = (params, grids[k], engine, times[k], lo + c, chunk, units, errors)
                 out[k].append(_cell_chunk(mode, config, *args))
     return out
 
@@ -544,7 +544,7 @@ def _cell_chunk(
     scale = grid.dt**params.hurst
     # surviving paths fill the chunk's rows in order, so no per-path list is copied
     values = None if engine is None else np.empty_like(units)
-    reps, kept_seeds, h_hats, g_hats = [], [], [], []
+    reps, kept_seeds, hats = [], [], []
     failures: list[tuple[int, str, str]] = []
     for i, (rep, seed) in enumerate(zip(range(lo, lo + len(seeds)), seeds)):
         if i in errors:
@@ -554,12 +554,11 @@ def _cell_chunk(
         try:
             driver = FbmPath(grid, params.hurst, units[i] * scale)
             path = simulate_exact(params, grid, seed=seed, driver=driver)
-            if mode == "recover":
-                stage = "hurst"
-                h_hat = estimate_hurst(path)
-                stage = "gamma"
-                g_hats.append(estimate_gamma(path, params.hurst))
-                h_hats.append(h_hat)
+            stage = mode
+            if mode == "hurst":
+                hats.append(estimate_hurst(path))
+            elif mode == "gamma":
+                hats.append(estimate_gamma(path, params.hurst))
         except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
             failures.append(_failure(rep, stage, exc))
             continue
@@ -572,17 +571,15 @@ def _cell_chunk(
             values[len(reps) - 1] = path.values
         if mode == "stats+est":
             try:
-                h_hats.append(estimate_hurst(path))
+                hats.append(estimate_hurst(path))
             except Exception as exc:  # noqa: BLE001 - H_hat is reported only
-                h_hats.append(math.nan)
+                hats.append(math.nan)
                 failures.append(_failure(rep, "hurst", exc))
 
     columns = {"replication": np.array(reps, dtype=np.int64)}
     columns["seed"] = np.array(kept_seeds, dtype=np.uint64)
-    if mode in ("recover", "stats+est"):
-        columns["H_hat"] = np.array(h_hats, dtype=float)
-    if mode == "recover":
-        columns["gamma_hat"] = np.array(g_hats, dtype=float)
+    if mode in ("hurst", "gamma", "stats+est"):
+        columns["gamma_hat" if mode == "gamma" else "H_hat"] = np.array(hats, dtype=float)
     if engine is None:
         return columns, failures
 
@@ -607,23 +604,23 @@ def _cell_chunk(
 def _collect(
     config: ExperimentConfig,
     report: TestReport,
-    mode: str,
+    mode: str | None,
     T_list: tuple[float, ...],
-    settings: dict[str, ModelParams] | None = None,
+    settings: dict[str, tuple[str, ModelParams]] | None = None,
 ) -> list[dict[str, np.ndarray]]:
     """Columns over the surviving replications of each cell, in replication
-    order.  Cells go setting by setting (the named `settings`, or
-    config.params), then horizon by horizon; one block task covers them all.
+    order; every block task covers all cells, setting by setting (each
+    named (mode, params), or `mode` on config.params), then by horizon.
 
     Failures go to report.details["failed"] cell by cell, tagged with T and
     setting; report.failures counts the voided replications, and more than
     1% of a cell's replications voided aborts the run.
     """
-    named = settings.items() if settings else [(None, config.params)]
-    cells = [({"setting": name} if name else {}, p, T) for name, p in named for T in T_list]
+    named = settings.items() if settings else [(None, (mode, config.params))]
+    cells = [({"setting": name} if name else {}, m, p, T) for name, (m, p) in named for T in T_list]
     n = config.replications
-    pairs = [(p, T) for _, p, T in cells]
-    tasks = [(mode, config, pairs, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
+    triples = [(m, p, T) for _, m, p, T in cells]
+    tasks = [(config, triples, lo, min(lo + _BATCH, n)) for lo in range(0, n, _BATCH)]
     workers = min(config.workers, len(tasks))
     if workers == 1:
         blocks = [_batch_task(t) for t in tasks]
@@ -631,7 +628,7 @@ def _collect(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_batch_task, tasks))
     per_cell = []
-    for (tags, _, T), *per_block in zip(cells, *blocks):
+    for (tags, _, _, T), *per_block in zip(cells, *blocks):
         chunks = [chunk for block_chunks in per_block for chunk in block_chunks]
         # a chunk that failed at "stats" or "mle" lacks the later columns
         kept = [cols for cols, _ in chunks if cols["replication"].size]
@@ -764,9 +761,11 @@ def _run_estimate(config: ExperimentConfig, report: TestReport) -> None:
     for T, cols in zip(config.T_list, _collect(config, report, "stats+est", config.T_list)):
         _write_stats_csv(config, T, cols)
         estimates.append(_estimate_columns(T, cols))
+        errors = {key: np.abs(cols[key] - value) for key, value in zip(_ESTIMATES, truth)}
+        # a column with no finite entry (every H_hat failed) has a NaN median
         medians[_tag(T)] = {
-            key: float(np.nanmedian(np.abs(cols[key] - value)))
-            for key, value in zip(_ESTIMATES, truth)
+            key: math.nan if np.isnan(err).all() else float(np.nanmedian(err))
+            for key, err in errors.items()
         }
     _write_estimates_csv(config, estimates)
     report.details["median_abs_error"] = medians
@@ -947,15 +946,15 @@ def _run_mgf_check(config: ExperimentConfig, report: TestReport) -> None:
 
 
 def _run_recovery_check(config: ExperimentConfig, report: TestReport) -> None:
-    """recover roughness and noise scale from simulated paths"""
+    """recover roughness (H settings) or noise scale (gamma settings) from simulated paths"""
     p = config.params
     T = config.T_list[0]
     if len(config.T_list) > 1:
         report.notes.append("hurst-gamma-check uses only the first horizon in T_list")
-    settings = [("H", h, dataclasses.replace(p, hurst=h)) for h in _HURST_TARGETS]
-    settings += [("gamma", g, dataclasses.replace(p, gamma=g)) for g in _GAMMA_TARGETS]
-    named = {f"{kind}={target:g}": params for kind, target, params in settings}
-    recovered = _collect(config, report, "recover", (T,), named)
+    settings = [("H", h, ("hurst", dataclasses.replace(p, hurst=h))) for h in _HURST_TARGETS]
+    settings += [("gamma", g, ("gamma", dataclasses.replace(p, gamma=g))) for g in _GAMMA_TARGETS]
+    named = {f"{kind}={target:g}": cell for kind, target, cell in settings}
+    recovered = _collect(config, report, None, (T,), named)
     outcomes: dict[str, float] = {}
     for (kind, target, _), setting, cols in zip(settings, named, recovered):
         errors = np.abs(cols[f"{kind}_hat"] - target) / (target if kind == "gamma" else 1.0)

@@ -142,7 +142,8 @@ def simulate_exact(
         np.subtract(noise, y, out=y)
         y *= params.gamma
         values = np.add(level, y, out=y)
-    if bad := np.count_nonzero(~np.isfinite(values)):
+    if not np.isfinite(values).all():
+        bad = np.count_nonzero(~np.isfinite(values))
         raise ValueError(
             f"{bad} path nodes not finite: x0 = {params.x0:.6g}, beta*T = {beta * grid.horizon:.6g}"
         )

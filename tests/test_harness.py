@@ -333,8 +333,8 @@ def test_failed_driver_draw_fails_the_replication_at_every_horizon(tmp_path, mon
 
     monkeypatch.setattr(model, "generate_fbm", flaky)
     cfg = _config(tmp_path, T_list=[2.0, 3.0], replications=8)
-    cells = [(cfg.params, T) for T in cfg.T_list]
-    per_cell = harness._batch_task(("stats", cfg, cells, 0, 8))
+    cells = [("stats", cfg.params, T) for T in cfg.T_list]
+    per_cell = harness._batch_task((cfg, cells, 0, 8))
     assert len(per_cell) == 2
     for ((columns, failures),) in per_cell:
         assert columns["replication"].tolist() == [0, 1, 2, 3, 4, 6, 7]
@@ -531,6 +531,22 @@ def test_estimate_csv_schema(tmp_path):
     }
 
 
+def test_estimate_reports_a_nan_median_when_every_hurst_estimate_fails(tmp_path, monkeypatch):
+    # H is taken as known, so failed roughness estimates void nothing; a
+    # column of NaN alone has a NaN median, without numpy's all-NaN warning
+    def failing(path):
+        raise DegenerateStatsError("injected")
+
+    monkeypatch.setattr(harness, "estimate_hurst", failing)
+    cfg = _config(tmp_path, experiment="estimate", n_grid=4096, replications=25)
+    report = run_experiment(cfg)
+    assert report.failures == 0
+    assert len(report.details["failed"]) == 25
+    medians = report.details["median_abs_error"]["2"]
+    assert math.isnan(medians["H_hat"])
+    assert all(math.isfinite(v) for key, v in medians.items() if key != "H_hat")
+
+
 def test_exact_check_passes_at_modest_scale(tmp_path):
     cfg = _config(tmp_path, replications=200)
     report = run_experiment(cfg)
@@ -562,7 +578,7 @@ def test_overflowing_horizons_are_refused(tmp_path):
     _config(tmp_path, experiment="simulate", T_list=[800.0])
     _config(tmp_path, T_list=[708.0])
     ergodic = _config(tmp_path, params=dict(DESK_PARAMS, beta=0.5), T_list=[720.0], n_grid=1024)
-    task = ("stats", ergodic, [(ergodic.params, 720.0)], 0, 8)
+    task = (ergodic, [("stats", ergodic.params, 720.0)], 0, 8)
     (((columns, failures),),) = harness._batch_task(task)
     assert failures == [] and np.all(np.isfinite(columns["K"]))
 
@@ -573,7 +589,7 @@ def test_non_finite_statistics_fail_the_block_at_stats(tmp_path):
     params = dict(DESK_PARAMS, x0=1e200)
     cfg = _config(tmp_path, params=params, T_list=[5.0], n_grid=1024, replications=64)
     with np.errstate(over="ignore"):
-        (((columns, failures),),) = harness._batch_task(("stats", cfg, [(cfg.params, 5.0)], 0, 8))
+        (((columns, failures),),) = harness._batch_task((cfg, [("stats", cfg.params, 5.0)], 0, 8))
     assert all(col.size == 0 for col in columns.values())
     message = "ValueError: statistic I is not finite on 8 of 8 paths"
     assert failures == [(rep, "stats", message) for rep in range(8)]
@@ -617,7 +633,7 @@ def test_stats_block_keeps_the_surviving_paths_in_order(tmp_path, monkeypatch):
         return real(params, grid, seed=seed, driver=driver)
 
     monkeypatch.setattr(harness, "simulate_exact", failing)
-    (((columns, failures),),) = harness._batch_task(("stats", cfg, [(cfg.params, 2.0)], 0, 8))
+    (((columns, failures),),) = harness._batch_task((cfg, [("stats", cfg.params, 2.0)], 0, 8))
     assert columns["replication"].tolist() == [0, 1, 2, 4, 5, 6, 7]
     assert failures == [(3, "simulate", "RuntimeError: injected")]
     grid = SampleGrid(horizon=2.0, n=512)
@@ -668,15 +684,16 @@ def test_stats_chunks_leave_every_artifact_unchanged(tmp_path, monkeypatch):
         ("stats+est", 8192, 12, [8, 4]),
         ("stats", 65536, 2, [1, 1]),
         ("stats", 512, 64, [64]),
-        ("recover", 4096, 3, [1, 1, 1]),
-        ("paths", 512, 3, [1, 1, 1]),
+        ("hurst", 4096, 3, [3]),
+        ("paths", 512, 3, [3]),
+        ("paths", 65536, 2, [1, 1]),
     ],
 )
 def test_stats_chunks_hold_about_half_a_mebibyte_of_paths(
     tmp_path, monkeypatch, mode, n_grid, replications, rows
 ):
-    # the stats modes take max(1, 2**16 // n) replications per chunk; recover
-    # and paths take one, so one large driver is live at a time
+    # every mode takes max(1, 2**16 // n) replications per chunk, so at
+    # n = 65536 one large driver is live at a time
     real = harness._cell_chunk
     seen = []
 
@@ -685,11 +702,11 @@ def test_stats_chunks_hold_about_half_a_mebibyte_of_paths(
         return real(mode, config, params, grid, engine, time_cells, lo, seeds, units, errors)
 
     monkeypatch.setattr(harness, "_cell_chunk", recording)
-    modes = {"stats": "exact-check", "stats+est": "estimate", "recover": "hurst-gamma-check"}
+    modes = {"stats": "exact-check", "stats+est": "estimate", "hurst": "hurst-gamma-check"}
     experiment = modes.get(mode, "simulate")
     cfg = _config(tmp_path, experiment=experiment, n_grid=n_grid, replications=replications)
     os.makedirs(cfg.output_dir)
-    harness._batch_task((mode, cfg, [(cfg.params, 2.0)], 0, replications))
+    harness._batch_task((cfg, [(mode, cfg.params, 2.0)], 0, replications))
     assert seen == rows
 
 
@@ -698,7 +715,7 @@ def test_non_finite_statistics_fail_only_their_chunk(tmp_path, monkeypatch):
     # 21's path fails replications 16..31 at stage "stats", and the other 48
     # rows are those of a clean run, bit for bit
     cfg = _config(tmp_path, n_grid=4096, replications=64)
-    task = ("stats", cfg, [(cfg.params, 2.0)], 0, 64)
+    task = (cfg, [("stats", cfg.params, 2.0)], 0, 64)
     clean = harness._batch_task(task)[0]
     real = harness.simulate_exact
 
@@ -892,6 +909,52 @@ def test_abort_names_the_failing_setting(tmp_path, monkeypatch):
         run_experiment(cfg)
 
 
+def test_gamma_settings_do_not_run_the_roughness_estimate(tmp_path):
+    # at H = 0.999 the second-difference ratio leaves (0, 1) on many paths;
+    # the gamma settings keep H = 0.999 but never read H_hat, so those
+    # failures must not void their replications.  Whether gamma_hat then
+    # meets the gate is not asserted: the drift dominates the path there.
+    cfg = _config(
+        tmp_path,
+        experiment="hurst-gamma-check",
+        params=dict(DESK_PARAMS, hurst=0.999),
+        T_list=[1.0],
+        n_grid=4096,
+        replications=20,
+    )
+    report = run_experiment(cfg)
+    assert "hurst" not in {f["stage"] for f in report.details["failed"]}
+    lines = (tmp_path / "out" / "recovery.csv").read_text().strip().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["20"] * 5
+
+
+def test_each_setting_runs_only_the_estimator_it_reads(tmp_path, monkeypatch):
+    # three H settings read H_hat and two gamma settings read gamma_hat, so
+    # R replications make 3R roughness and 2R noise-scale estimates
+    calls = {"hurst": [], "gamma": []}
+    real_hurst, real_gamma = harness.estimate_hurst, harness.estimate_gamma
+
+    def counting_hurst(path):
+        calls["hurst"].append(path.params)
+        return real_hurst(path)
+
+    def counting_gamma(path, hurst):
+        calls["gamma"].append(path.params)
+        return real_gamma(path, hurst)
+
+    monkeypatch.setattr(harness, "estimate_hurst", counting_hurst)
+    monkeypatch.setattr(harness, "estimate_gamma", counting_gamma)
+    cfg = _config(
+        tmp_path, experiment="hurst-gamma-check", T_list=[1.0], n_grid=4096, replications=20
+    )
+    run_experiment(cfg)
+    assert len(calls["hurst"]) == 3 * 20 and len(calls["gamma"]) == 2 * 20
+    assert sorted({p.hurst for p in calls["hurst"]}) == [0.6, 0.7, 0.8]
+    assert {p.gamma for p in calls["hurst"]} == {1.0}
+    assert sorted({p.gamma for p in calls["gamma"]}) == [0.5, 2.0]
+    assert {p.hurst for p in calls["gamma"]} == {0.7}
+
+
 @pytest.mark.parametrize(
     "experiment, T_list, draws",
     [("hurst-gamma-check", [1.0], 3), ("simulate", [2.0, 3.0], 1), ("exact-check", [2.0], 1)],
@@ -934,14 +997,15 @@ def engine_builds(monkeypatch):
 
 def test_recovery_check_builds_one_engine_per_hurst(tmp_path, engine_builds):
     # at H = 0.75 the five settings have four distinct H, one more than the
-    # engine cache holds; the block runs H by H, so no engine is rebuilt
-    # per replication
+    # engine cache holds; only the gamma settings, both at H = 0.75, fetch
+    # an engine, and the block runs H by H, so it is not rebuilt per
+    # replication
     params = dict(DESK_PARAMS, hurst=0.75)
     cfg = _config(
         tmp_path, experiment="hurst-gamma-check", params=params, n_grid=4096, replications=10
     )
     run_experiment(cfg)
-    assert sorted(hurst for _, hurst in engine_builds) == [0.6, 0.7, 0.75, 0.8]
+    assert sorted(hurst for _, hurst in engine_builds) == [0.75]
 
 
 def test_limit_check_builds_one_engine_for_every_horizon(tmp_path, engine_builds):

@@ -174,6 +174,16 @@ def test_exact_names_x0_when_it_overflows_the_path():
         simulate_exact(params, SampleGrid(horizon=20.0, n=1024), seed=3)
 
 
+def test_exact_counts_the_non_finite_nodes_of_a_poisoned_path():
+    # a NaN in the driver at node n - 2 reaches the trapezoid integral from
+    # there on, so the last three nodes are not finite
+    grid = SampleGrid(horizon=2.0, n=1024)
+    driver = _zero_driver(grid, DESK.hurst)
+    driver.values[-3] = np.nan
+    with pytest.raises(ValueError, match=r"^3 path nodes not finite: x0 = 0\.3, beta\*T = -1$"):
+        simulate_exact(DESK, grid, driver=driver)
+
+
 def test_exact_refuses_overflow_before_drawing_the_driver(monkeypatch):
     def no_driver(*args, **kwargs):
         raise AssertionError("the fBm driver must not be drawn")
